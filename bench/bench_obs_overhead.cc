@@ -1,11 +1,11 @@
 // bench_obs_overhead: the cost of tracing on the chase hot path.
 //
-// Runs the bounded chain transitive-closure chase (bench_storage's
-// storage-hot workload) with the trace session disabled and enabled, in
-// interleaved pairs so frequency scaling and cache state hit both sides
-// equally. Reports min-of-N wall times per side plus their ratio; CI
-// gates traced <= 1.10x untraced. Both sides must produce the identical
-// atom count (CHECKed) — recording only observes.
+// Runs a bounded chain transitive-closure chase (a storage-hot workload)
+// with the trace session disabled and enabled, in interleaved pairs so
+// frequency scaling and cache state hit both sides equally. Reports
+// min-of-N wall times per side plus their ratio; CI gates traced <= 1.10x
+// untraced. Both sides must produce the identical atom count (CHECKed) —
+// recording only observes.
 //
 //   ./bench_obs_overhead --repetitions 1 --json=BENCH_obs.json
 

@@ -5,7 +5,7 @@
 //             (E(x,y), E(y,z) -> E(x,z), 3 steps, ~10^6 derived atoms):
 //             long chains of distinct join keys, the regime where the
 //             segment engine's merge joins over sorted runs amortize the
-//             per-trigger hash probes the trigger engine pays.
+//             per-trigger point lookups the trigger engine pays.
 //   * wide  — one semi-naive join step over a wide binary EDB
 //             (R(x,y), S(y,z) -> T(x,z), ~10^6 base facts): a single
 //             rule/step pair producing one large candidate segment.
@@ -13,8 +13,8 @@
 // Per point, BENCH_bench_segment.json carries <point>/trigger_ms,
 // <point>/segment_ms, <point>/atoms, and <point>/segment_over_trigger.
 // Both engines must land on the exact same atom count (CHECKed — the
-// bit-identical guarantee, at scale). Runs use the column backend, whose
-// sealed sorted runs are the segment engine's native input.
+// bit-identical guarantee, at scale). The store's sealed sorted runs are
+// the segment engine's native input.
 //
 //   ./bench_segment --repetitions 1 --json=BENCH_segment.json
 
@@ -41,7 +41,6 @@ using bddfc::PredicateId;
 using bddfc::Rng;
 using bddfc::Rule;
 using bddfc::RuleSet;
-using bddfc::StorageKind;
 using bddfc::Term;
 using bddfc::Universe;
 
@@ -55,7 +54,7 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 struct Workload {
   const char* name;
   Universe universe;
-  Instance database{&universe, StorageKind::kColumn};
+  Instance database{&universe};
   RuleSet rules;
   std::size_t max_steps = 16;
   std::size_t max_atoms = 8000000;
@@ -128,7 +127,6 @@ std::size_t TimeChase(const Workload& w, ChaseEngine engine,
                       double* chase_ms) {
   ChaseOptions options;
   options.exec.engine = engine;
-  options.exec.storage = StorageKind::kColumn;
   options.exec.max_steps = w.max_steps;
   options.exec.max_atoms = w.max_atoms;
   options.exec.num_threads = bddfc::bench::Threads();

@@ -6,8 +6,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
-#include <sys/wait.h>
-#define BDDFC_BENCH_HAS_FORK 1
+#define BDDFC_BENCH_HAS_RUSAGE 1
 #endif
 
 #include <algorithm>
@@ -365,42 +364,8 @@ void State::ResumeTiming() {
 
 void State::FinishTiming() { PauseTiming(); }
 
-long PeakRssInChildKb(const std::function<void()>& body) {
-#ifdef BDDFC_BENCH_HAS_FORK
-  int pipefd[2];
-  BDDFC_CHECK(pipe(pipefd) == 0);
-  pid_t pid = fork();
-  BDDFC_CHECK(pid >= 0);
-  if (pid == 0) {
-    close(pipefd[0]);
-    body();
-    struct rusage usage;
-    getrusage(RUSAGE_SELF, &usage);
-    long rss_kb = usage.ru_maxrss;
-#if defined(__APPLE__)
-    rss_kb /= 1024;  // macOS reports bytes
-#endif
-    ssize_t written = write(pipefd[1], &rss_kb, sizeof(rss_kb));
-    close(pipefd[1]);
-    _exit(written == static_cast<ssize_t>(sizeof(rss_kb)) ? 0 : 1);
-  }
-  close(pipefd[1]);
-  long rss_kb = -1;
-  BDDFC_CHECK(read(pipefd[0], &rss_kb, sizeof(rss_kb)) ==
-              static_cast<ssize_t>(sizeof(rss_kb)));
-  close(pipefd[0]);
-  int status = 0;
-  BDDFC_CHECK(waitpid(pid, &status, 0) == pid);
-  BDDFC_CHECK(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-  return rss_kb;
-#else
-  (void)body;
-  return -1;
-#endif
-}
-
 double PeakRssMb() {
-#ifdef BDDFC_BENCH_HAS_FORK
+#ifdef BDDFC_BENCH_HAS_RUSAGE
   struct rusage usage;
   if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
   long rss_kb = usage.ru_maxrss;

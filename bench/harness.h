@@ -46,7 +46,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -206,14 +205,6 @@ class Context {
 using ExperimentFn = int (*)(Context&);
 
 int RegisterExperiment(const char* name, ExperimentFn fn);
-
-/// Peak RSS in KB of `body` run in a forked child. The child inherits the
-/// parent's pages copy-on-write, so child maxrss ~= parent RSS at fork +
-/// whatever `body` allocates; differencing two children forked from the
-/// same parent state isolates the allocation under test (bench_storage's
-/// per-backend store footprint is the canonical user). Returns -1 on
-/// platforms without fork.
-long PeakRssInChildKb(const std::function<void()>& body);
 
 /// This process's own peak RSS in MB so far (getrusage ru_maxrss; 0 where
 /// unsupported). Monotone non-decreasing — per-case values in a multi-case

@@ -17,7 +17,7 @@ BddProbeReport ProbeBddConstant(const Cq& q, const RuleSet& rules,
         break;
       }
       if (chase.Saturated() || chase.HitBounds() ||
-          step >= options.max_steps) {
+          step >= options.exec.max_steps) {
         break;
       }
       chase.RunSteps(step + 1);

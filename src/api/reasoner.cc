@@ -19,25 +19,6 @@ double MsSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-ExecutionConfig ReasonerOptions::ResolvedExec() const {
-  ExecutionConfig resolved = chase.ResolvedExec();
-  const ExecutionConfig defaults;
-  // Same contract as ChaseOptions::ResolvedExec: a non-default deprecated
-  // alias overrides its twin, and conflicting non-default settings
-  // CHECK-fail instead of resolving silently.
-  if (num_threads != defaults.num_threads) {
-    BDDFC_CHECK(resolved.num_threads == defaults.num_threads ||
-                resolved.num_threads == num_threads);
-    resolved.num_threads = num_threads;
-  }
-  if (storage.has_value()) {
-    BDDFC_CHECK(!resolved.storage.has_value() ||
-                *resolved.storage == *storage);
-    resolved.storage = storage;
-  }
-  return resolved;
-}
-
 const char* ToString(AnswerStrategy strategy) {
   switch (strategy) {
     case AnswerStrategy::kMaterialize:
@@ -208,34 +189,20 @@ bool PreparedQuery::AskOn(const Instance& target, ThreadPool* pool) const {
 Reasoner::Reasoner(const Instance& database, RuleSet rules,
                    ReasonerOptions options)
     : options_(options),
-      database_(database, options.ResolvedExec().storage.value_or(
-                              database.storage())),
+      database_(database),
       rules_(std::move(rules)),
       rewriter_(rules_, database_.universe(), options.rewriter),
       probe_rewriter_(rules_, database_.universe(), options.auto_probe),
       num_threads_(
-          ThreadPool::ResolveThreadCount(options.ResolvedExec().num_threads)) {
+          ThreadPool::ResolveThreadCount(options.chase.exec.num_threads)) {
   if (num_threads_ > 1) {
     pool_ = std::make_unique<ThreadPool>(num_threads_ - 1);
   }
-  // Freeze the resolved configuration into options_.chase.exec — one pool
-  // per session (the chase borrows it, prepared-query evaluation fans out
-  // over it), one storage backend (the materialization inherits the
-  // session backend through the database copy), one engine.
-  options_.chase.exec = options_.ResolvedExec();
+  // Freeze the resolved thread count into options_.chase.exec — one pool
+  // per session: the chase borrows it, prepared-query evaluation fans out
+  // over it.
   options_.chase.exec.num_threads = num_threads_;
   options_.chase.exec.pool = pool_.get();
-  options_.chase.exec.storage = database_.storage();
-  // Mirror the resolved values into the deprecated alias fields so code
-  // reading either view of options() agrees (the re-merge inside the chase
-  // is then a no-op).
-  options_.chase.max_steps = options_.chase.exec.max_steps;
-  options_.chase.max_atoms = options_.chase.exec.max_atoms;
-  options_.chase.num_threads = num_threads_;
-  options_.chase.pool = pool_.get();
-  options_.chase.storage = database_.storage();
-  options_.num_threads = num_threads_;
-  options_.storage = database_.storage();
   metrics_ = obs::ResolveMetrics(options_.chase.exec.metrics);
 }
 

@@ -88,12 +88,12 @@ const char* ToString(StrategyDecision decision);
 
 /// Session-wide configuration.
 ///
-/// Execution knobs (engine, storage, threads, bounds) live in
+/// Execution knobs (engine, schedule, threads, bounds) live in
 /// `chase.exec` (ExecutionConfig) and govern the whole session: the chase
-/// materialization and prepared-query evaluation share one resolved
-/// configuration and one thread pool. The loose `num_threads` / `storage`
-/// fields below are deprecated aliases kept for source compatibility; a
-/// non-default alias overrides its `chase.exec` twin.
+/// materialization and prepared-query evaluation share one configuration
+/// and one thread pool. `chase.exec.num_threads` is plumbed both into the
+/// chase and into prepared-query evaluation (HomSearch::FindAllParallel
+/// over the session pool); answers are identical at any thread count.
 struct ReasonerOptions {
   AnswerStrategy strategy = AnswerStrategy::kAuto;
   /// Chase variant, engine and bounds for the kMaterialize path (see
@@ -117,22 +117,6 @@ struct ReasonerOptions {
   /// for kRewrite explicitly to spend the full budget.
   RewriterOptions auto_probe{
       .max_depth = 6, .max_disjuncts = 128, .max_atoms_per_query = 16};
-  /// Deprecated alias of chase.exec.num_threads. Execution threads,
-  /// plumbed both into the chase and into prepared-query evaluation
-  /// (HomSearch::FindAllParallel over the session pool). 1 = serial,
-  /// 0 = all hardware threads. Answers are identical at any thread count.
-  std::size_t num_threads = 1;
-  /// Deprecated alias of chase.exec.storage. Storage backend for the
-  /// session's base instance and materialization. Defaults to the backend
-  /// of the database the session was constructed from. Answers and chase
-  /// runs are identical on every backend; kColumn trades point-lookup
-  /// speed for O(atoms) index memory (see src/storage/fact_store.h).
-  std::optional<StorageKind> storage = std::nullopt;
-
-  /// The effective session-wide execution configuration: chase.exec with
-  /// every non-default deprecated alias (ChaseOptions' and this struct's)
-  /// overriding its twin.
-  ExecutionConfig ResolvedExec() const;
 };
 
 /// One answer: the images of the query's answer tuple, all constants. A
@@ -359,7 +343,7 @@ class Reasoner {
   /// Returns the number of atoms new to the base instance. If the
   /// materialization exists it is maintained incrementally: the facts are
   /// appended as a delta and the chase resumes from the existing result
-  /// (with a fresh step budget of options().chase.max_steps), firing only
+  /// (with a fresh step budget of options().chase.exec.max_steps), firing only
   /// triggers the new atoms enable — never re-chasing from scratch.
   /// Prepared queries are not invalidated; they see the new state.
   std::size_t AddFacts(const std::vector<Atom>& facts);

@@ -15,40 +15,6 @@
 
 namespace bddfc {
 
-ExecutionConfig ChaseOptions::ResolvedExec() const {
-  ExecutionConfig resolved = exec;
-  const ExecutionConfig defaults;
-  // A deprecated alias overrides its exec twin only when it was set away
-  // from its default — the alias defaults equal the exec defaults, so an
-  // untouched alias never masks an explicit exec setting. Setting alias
-  // AND twin to different non-default values is a configuration bug and
-  // CHECK-fails instead of silently preferring the alias.
-  if (max_steps != defaults.max_steps) {
-    BDDFC_CHECK(exec.max_steps == defaults.max_steps ||
-                exec.max_steps == max_steps);
-    resolved.max_steps = max_steps;
-  }
-  if (max_atoms != defaults.max_atoms) {
-    BDDFC_CHECK(exec.max_atoms == defaults.max_atoms ||
-                exec.max_atoms == max_atoms);
-    resolved.max_atoms = max_atoms;
-  }
-  if (num_threads != defaults.num_threads) {
-    BDDFC_CHECK(exec.num_threads == defaults.num_threads ||
-                exec.num_threads == num_threads);
-    resolved.num_threads = num_threads;
-  }
-  if (pool != nullptr) {
-    BDDFC_CHECK(exec.pool == nullptr || exec.pool == pool);
-    resolved.pool = pool;
-  }
-  if (storage.has_value()) {
-    BDDFC_CHECK(!exec.storage.has_value() || *exec.storage == *storage);
-    resolved.storage = storage;
-  }
-  return resolved;
-}
-
 std::size_t ObliviousChase::TriggerKeyHash::operator()(
     const TriggerKey& k) const {
   std::size_t seed = std::hash<std::size_t>{}(k.first);
@@ -58,8 +24,7 @@ std::size_t ObliviousChase::TriggerKeyHash::operator()(
 
 ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
                                ChaseOptions options)
-    : exec_(options.ResolvedExec()),
-      instance_(database, exec_.storage.value_or(database.storage())),
+    : instance_(database),
       rules_(std::move(rules)),
       options_(options) {
   atoms_at_step_.push_back(instance_.size());
@@ -91,27 +56,27 @@ ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
       head_searches_.emplace_back(rule.head(), &instance_);
     }
   }
-  if (exec_.pool != nullptr) {
-    num_threads_ = exec_.pool->num_workers() + 1;
+  if (options_.exec.pool != nullptr) {
+    num_threads_ = options_.exec.pool->num_workers() + 1;
     if (num_threads_ > 1) {
-      parallel_ = std::make_unique<exec::ParallelChase>(exec_.pool);
+      parallel_ = std::make_unique<exec::ParallelChase>(options_.exec.pool);
     }
   } else {
-    num_threads_ = ThreadPool::ResolveThreadCount(exec_.num_threads);
+    num_threads_ = ThreadPool::ResolveThreadCount(options_.exec.num_threads);
     if (num_threads_ > 1) {
       parallel_ = std::make_unique<exec::ParallelChase>(num_threads_);
     }
   }
-  if (exec_.engine == ChaseEngine::kSegment) {
+  if (options_.exec.engine == ChaseEngine::kSegment) {
     segment_ = std::make_unique<SegmentEngine>(&instance_, &rules_);
   }
-  if (exec_.schedule == ChaseSchedule::kStratified) {
+  if (options_.exec.schedule == ChaseSchedule::kStratified) {
     scheduler_ = RuleScheduler::Stratified(rules_, universe(),
                                            options_.naive_enumeration);
   } else {
     scheduler_ = RuleScheduler::Flat(rules_.size());
   }
-  metrics_ = obs::ResolveMetrics(exec_.metrics);
+  metrics_ = obs::ResolveMetrics(options_.exec.metrics);
   metric_step_ = metrics_->GetGauge("chase.step");
   metric_atoms_ = metrics_->GetGauge("chase.atoms");
   metric_fired_ = metrics_->GetCounter("chase.triggers_fired");
@@ -278,7 +243,7 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   std::vector<std::size_t> round_fired(rules_.size(), 0);
   for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
     const TriggerCandidate& candidate = candidates[ci];
-    if (instance_.size() >= exec_.max_atoms) {
+    if (instance_.size() >= options_.exec.max_atoms) {
       hit_bounds_ = true;
       outcome.truncated = true;
       break;
@@ -370,7 +335,7 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   return outcome;
 }
 
-std::size_t ObliviousChase::Run() { return RunSteps(exec_.max_steps); }
+std::size_t ObliviousChase::Run() { return RunSteps(options_.exec.max_steps); }
 
 std::size_t ObliviousChase::RunSteps(std::size_t k) {
   while (steps_executed_ < k && !saturated_ && !hit_bounds_ &&
@@ -485,7 +450,7 @@ std::size_t ObliviousChase::AtomCountAtStep(std::size_t k) const {
 }
 
 Instance ObliviousChase::Prefix(std::size_t k) const {
-  Instance out(universe(), instance_.storage());
+  Instance out(universe());
   const std::size_t limit =
       k < atoms_at_step_.size() ? atoms_at_step_[k] : instance_.size();
   const std::vector<Atom>& all = instance_.atoms();
@@ -617,11 +582,10 @@ Instance ChaseThenDatalog(const Instance& database,
                           ChaseOptions existential_options,
                           std::size_t datalog_max_steps) {
   Instance first = Chase(database, existential_rules, existential_options);
-  // The Datalog phase inherits the existential phase's resolved execution
-  // configuration (engine, storage, threads, atom budget) with its own
-  // step bound.
+  // The Datalog phase inherits the existential phase's execution
+  // configuration (engine, threads, atom budget) with its own step bound.
   ChaseOptions datalog_options;
-  datalog_options.exec = existential_options.ResolvedExec();
+  datalog_options.exec = existential_options.exec;
   datalog_options.exec.max_steps = datalog_max_steps;
   // Datalog saturation creates no terms; the restricted variant terminates
   // whenever the saturation is finite (it always is on a finite instance).

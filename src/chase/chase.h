@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -64,16 +63,7 @@ enum class ChaseVariant {
 };
 
 /// Variant selection and execution configuration for a chase run.
-///
-/// The execution knobs (engine, storage, threads, bounds) live in `exec`
-/// (ExecutionConfig, src/exec/execution_config.h); the loose fields
-/// max_steps / max_atoms / num_threads / pool / storage are deprecated
-/// aliases kept for source compatibility.
 struct ChaseOptions {
-  /// Deprecated alias of exec.max_steps.
-  std::size_t max_steps = 16;
-  /// Deprecated alias of exec.max_atoms.
-  std::size_t max_atoms = 200000;
   ChaseVariant variant = ChaseVariant::kOblivious;
   /// Escape hatch: re-enumerate every trigger from scratch at every step by
   /// running a full homomorphism search per rule (the pre-semi-naive
@@ -82,44 +72,13 @@ struct ChaseOptions {
   /// instance, trigger sequence, and provenance — the differential tests
   /// cross-check them atom for atom.
   bool naive_enumeration = false;
-  /// Deprecated alias of exec.num_threads. Execution threads for trigger
-  /// enumeration (and, in the restricted
-  /// variant, the satisfaction precheck). 1 (the default) runs the
-  /// unchanged serial path; 0 means "all hardware threads". Every thread
-  /// count produces a bit-identical chase (atoms, trigger order,
-  /// provenance, fresh-null numbering): workers only search the read-only
-  /// instance, and their trigger batches are merged into the canonical
-  /// (rule, body-image) order before the serial firing phase.
-  std::size_t num_threads = 1;
-  /// Deprecated alias of exec.pool. Optional shared execution pool (not
-  /// owned; must outlive the chase).
-  /// When set it overrides `num_threads`: the chase runs with
-  /// pool->num_workers() + 1 execution threads and fans work out over this
-  /// pool instead of spinning up its own. The Reasoner facade uses this so
-  /// one session owns exactly one pool (chase + query evaluation); null
-  /// (the default) keeps the self-owned-pool behavior.
-  ThreadPool* pool = nullptr;
-  /// Deprecated alias of exec.storage. Storage backend for the chase's
-  /// working instance (the database copy
-  /// the result grows in). Defaults to the database's own backend; every
-  /// backend produces a bit-identical chase (same atoms, trigger order,
-  /// provenance and fresh-null numbering) at every thread count.
-  std::optional<StorageKind> storage = std::nullopt;
-  /// The unified execution configuration: engine selection plus the
-  /// storage / threading / bounds knobs shared with the Reasoner facade and
-  /// chase_cli. The loose fields above predate it and survive as deprecated
-  /// aliases; ResolvedExec() merges the two views (an alias overrides its
-  /// `exec` twin only when it was set away from its default), so existing
-  /// call sites — including designated initializers over the old field
-  /// names — keep compiling and behaving unchanged.
+  /// How the chase executes (src/exec/execution_config.h): engine,
+  /// schedule, threads, an optional shared pool, and the step/atom
+  /// bounds. Every thread count produces a bit-identical chase: workers
+  /// only search the read-only instance, and their trigger batches are
+  /// merged into the canonical (rule, body-image) order before the serial
+  /// firing phase.
   ExecutionConfig exec;
-
-  /// The effective configuration the chase runs with: `exec`, with every
-  /// non-default deprecated alias field overriding its twin. CHECK-fails
-  /// when an alias and its twin are both set away from their defaults to
-  /// different values — a conflict that used to be resolved silently in
-  /// the alias's favor.
-  ExecutionConfig ResolvedExec() const;
 };
 
 /// Provenance of a chase-created term.
@@ -279,10 +238,6 @@ class ObliviousChase {
   // and thread-safe (runs concurrently from the parallel precheck).
   bool HeadSatisfied(const exec::TriggerCandidate& candidate) const;
 
-  // The resolved execution configuration (declared before instance_: the
-  // constructor resolves it first and builds the instance from its storage
-  // choice).
-  ExecutionConfig exec_;
   Instance instance_;
   RuleSet rules_;
   ChaseOptions options_;
@@ -309,8 +264,8 @@ class ObliviousChase {
   bool hit_bounds_ = false;
   bool last_step_truncated_ = false;
   std::unordered_set<TriggerKey, TriggerKeyHash> fired_;
-  // Metrics instruments (resolved from exec_.metrics; never null). The
-  // gauges are updated mid-step so the progress heartbeat sees live
+  // Metrics instruments (resolved from options_.exec.metrics; never null).
+  // The gauges are updated mid-step so the progress heartbeat sees live
   // values; all updates are relaxed atomics and never steer execution.
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::Gauge* metric_step_ = nullptr;

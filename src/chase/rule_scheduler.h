@@ -8,7 +8,7 @@
 //
 //   * flat — a stateless pass-through: every rule, the chase's global
 //     window. Byte-for-byte the historical behavior (the bit-identity
-//     guarantees of the engine/storage/threads knobs extend to it).
+//     guarantees of the engine/threads knobs extend to it).
 //   * stratified — driven by the positive-reliance stratification
 //     (src/analysis/reliance.h). Strata are processed in topological
 //     order: a stratum activates only when every predecessor stratum has

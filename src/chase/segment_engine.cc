@@ -316,17 +316,6 @@ void SegmentEngine::ExecuteAnchor(std::size_t rule_index,
   anchor_span.Arg("candidates", out->size() - out_before);
 }
 
-void SegmentEngine::Collect(std::uint32_t delta_begin,
-                            std::uint32_t delta_end, ThreadPool* pool,
-                            std::vector<exec::TriggerCandidate>* out) const {
-  std::vector<exec::RuleJob> jobs;
-  jobs.reserve(plans_.size());
-  for (std::size_t r = 0; r < plans_.size(); ++r) {
-    jobs.push_back({r, delta_begin == 0, delta_begin});
-  }
-  CollectJobs(jobs, delta_end, pool, out);
-}
-
 void SegmentEngine::CollectJobs(
     const std::vector<exec::RuleJob>& jobs, std::uint32_t delta_end,
     ThreadPool* pool, std::vector<exec::TriggerCandidate>* out) const {

@@ -107,7 +107,7 @@ SegmentRulePlan CompileSegmentPlan(const Rule& rule);
 
 /// Executes compiled plans against a growing instance. The engine holds
 /// only borrowed pointers (instance and rules must outlive it) and caches
-/// the compiled plans; all state mutated per step is local to Collect.
+/// the compiled plans; all state mutated per step is local to CollectJobs.
 class SegmentEngine {
  public:
   SegmentEngine(const Instance* instance, const RuleSet* rules);
@@ -117,22 +117,14 @@ class SegmentEngine {
   }
 
   /// Appends to `out` every body homomorphism (as a TriggerCandidate body
-  /// image) that is new for the step whose delta segment is
-  /// [delta_begin, delta_end). With delta_begin == 0 this is the full
-  /// first-step enumeration (only anchor-0 plans run). When `pool` is
-  /// non-null the (rule, anchor) plan executions fan out over it; the
-  /// caller's canonical sort erases the nondeterministic batch order.
-  /// Read-only with respect to the instance.
-  void Collect(std::uint32_t delta_begin, std::uint32_t delta_end,
-               ThreadPool* pool,
-               std::vector<exec::TriggerCandidate>* out) const;
-
-  /// Job-based variant: each rule runs with its own delta window, as
-  /// planned by a RuleScheduler. A `full` job executes only the rule's
-  /// anchor-0 plan over [0, delta_end) (the first-step enumeration); a
-  /// delta job executes every anchor plan over
-  /// [job.delta_begin, delta_end). Collect(b, e, ...) is exactly
-  /// CollectJobs with one job per rule and a common window.
+  /// image) that is new for the round planned by `jobs`: each rule runs
+  /// with its own delta window, as planned by a RuleScheduler. A `full`
+  /// job executes only the rule's anchor-0 plan over [0, delta_end) (the
+  /// first-step enumeration); a delta job executes every anchor plan over
+  /// [job.delta_begin, delta_end). When `pool` is non-null the (rule,
+  /// anchor) plan executions fan out over it; the caller's canonical sort
+  /// erases the nondeterministic batch order. Read-only with respect to
+  /// the instance.
   void CollectJobs(const std::vector<exec::RuleJob>& jobs,
                    std::uint32_t delta_end, ThreadPool* pool,
                    std::vector<exec::TriggerCandidate>* out) const;

@@ -30,7 +30,7 @@ PropertyPReport CheckPropertyP(const Instance& db, const RuleSet& rules,
     }
 
     if (chase.Saturated() || chase.HitBounds() ||
-        step >= options.chase.ResolvedExec().max_steps) {
+        step >= options.chase.exec.max_steps) {
       report.saturated = chase.Saturated();
       break;
     }

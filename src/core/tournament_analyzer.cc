@@ -56,7 +56,7 @@ TournamentAnalyzer::TournamentAnalyzer(RuleSet rules, PredicateId e,
 
 AnalyzerResult TournamentAnalyzer::Run() {
   AnalyzerResult result;
-  const ExecutionConfig resolved_exec = options_.chase.ResolvedExec();
+  const ExecutionConfig& exec = options_.chase.exec;
   auto stage = [&result](std::string name, bool ok, std::string detail) {
     result.stages.push_back({std::move(name), ok, std::move(detail)});
     return ok;
@@ -84,8 +84,8 @@ AnalyzerResult TournamentAnalyzer::Run() {
   result.regality = surgery::CheckRegal(
       result.regal_rules, universe_, probes, options_.rewriter,
       {.exec = {
-          .max_steps = std::min<std::size_t>(resolved_exec.max_steps, 3),
-          .max_atoms = resolved_exec.max_atoms}});
+          .max_steps = std::min<std::size_t>(exec.max_steps, 3),
+          .max_atoms = exec.max_atoms}});
   stage("regality audit (Definition 27)", result.regality.IsRegal(),
         result.regality.IsRegal() ? "regal" : result.regality.ToString());
 
@@ -96,7 +96,7 @@ AnalyzerResult TournamentAnalyzer::Run() {
   chase_exists.Run();
   ChaseOptions datalog_options;
   datalog_options.exec.max_steps = options_.datalog_max_steps;
-  datalog_options.exec.max_atoms = resolved_exec.max_atoms;
+  datalog_options.exec.max_atoms = exec.max_atoms;
   datalog_options.variant = ChaseVariant::kRestricted;
   ObliviousChase saturation(chase_exists.Result(), datalog, datalog_options);
   saturation.Run();

@@ -1,13 +1,10 @@
 // The unified execution configuration shared by every chase entry point.
 //
-// Before this header existed, the knobs steering *how* a chase executes —
-// thread count, shared pool, storage backend, step/atom bounds — were
-// duplicated across ChaseOptions, ReasonerOptions and ad-hoc chase_cli
-// flags, each with its own override rules. ExecutionConfig collapses them
-// into one struct, threaded verbatim through ObliviousChase, the Reasoner
-// facade and chase_cli. The old fields survive one release as deprecated
-// aliases (see ChaseOptions::ResolvedExec / the Reasoner's resolution) so
-// existing code compiles unchanged.
+// ExecutionConfig holds the knobs steering *how* a chase executes — engine,
+// rule schedule, thread count, shared pool, step/atom bounds, metrics sink
+// — in one struct, threaded verbatim through ObliviousChase (as
+// ChaseOptions::exec), the Reasoner facade (ReasonerOptions::chase.exec),
+// the server and chase_cli.
 //
 // The `engine` knob selects between the two chase execution engines:
 //
@@ -22,17 +19,14 @@
 //     bit, not just atom-set equality) because both engines feed the same
 //     canonical (rule, body-image) firing phase.
 //
-// Every combination of engine × storage × threads produces the same chase
-// (atoms, trigger order, provenance, fresh-null numbering); the knobs only
-// move the wall clock and the memory profile.
+// Every combination of engine × threads produces the same chase (atoms,
+// trigger order, provenance, fresh-null numbering); the knobs only move
+// the wall clock.
 
 #ifndef BDDFC_EXEC_EXECUTION_CONFIG_H_
 #define BDDFC_EXEC_EXECUTION_CONFIG_H_
 
 #include <cstddef>
-#include <optional>
-
-#include "storage/fact_store.h"
 
 namespace bddfc {
 
@@ -82,9 +76,6 @@ struct ExecutionConfig {
   /// behavior; kStratified reorders work along the reliance strata (same
   /// result up to null renaming).
   ChaseSchedule schedule = ChaseSchedule::kFlat;
-  /// Storage backend for the working instance. Defaults to the backend of
-  /// the database the chase (or session) starts from.
-  std::optional<StorageKind> storage = std::nullopt;
   /// Execution threads: 1 = serial, 0 = all hardware threads. Ignored when
   /// `pool` is set.
   std::size_t num_threads = 1;

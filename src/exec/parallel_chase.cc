@@ -19,8 +19,8 @@ struct Unit {
   std::size_t anchor = 0;  // unused by full-enumeration units
   std::uint32_t lo = 0;
   std::uint32_t hi = 0;
-  bool full = false;             // CollectJobs: full-enumeration unit
-  std::uint32_t delta_begin = 0;  // CollectJobs: the job's delta window
+  bool full = false;              // full-enumeration unit
+  std::uint32_t delta_begin = 0;  // the job's delta window
 };
 
 // Chunk width that splits [0, range) into at most 2*threads pieces of at
@@ -81,65 +81,6 @@ ParallelChase::ParallelChase(std::size_t num_threads)
       pool_(owned_pool_.get()) {}
 
 ParallelChase::ParallelChase(ThreadPool* pool) : pool_(pool) {}
-
-void ParallelChase::CollectDelta(std::vector<HomSearch>* searches,
-                                 std::uint32_t delta_begin,
-                                 std::uint32_t delta_end,
-                                 const CollectFn& collect,
-                                 std::vector<TriggerCandidate>* out) {
-  if (delta_begin >= delta_end) return;
-  // Chunk the anchor's delta range: a qualifying homomorphism has exactly
-  // one anchor atom and one anchor image index, so (rule, anchor, chunk)
-  // units partition the enumeration.
-  const std::uint32_t chunk_size =
-      ChunkSize(delta_end - delta_begin, num_threads());
-  std::vector<Unit> units;
-  for (std::size_t r = 0; r < searches->size(); ++r) {
-    HomSearch& search = (*searches)[r];
-    search.PrepareDelta();  // build anchor orders before going concurrent
-    for (std::size_t anchor = 0; anchor < search.source_size(); ++anchor) {
-      for (std::uint32_t lo = delta_begin; lo < delta_end; lo += chunk_size) {
-        units.push_back(
-            {r, anchor, lo, std::min(delta_end, lo + chunk_size)});
-      }
-    }
-  }
-  RunUnits(
-      pool_, units,
-      [&](const Unit& unit, std::vector<TriggerCandidate>* batch) {
-        (*searches)[unit.rule].ForEachDeltaAnchor(
-            unit.anchor, delta_begin, delta_end, unit.lo, unit.hi, {},
-            [&](const Substitution& h) {
-              collect(unit.rule, h, batch);
-              return true;
-            });
-      },
-      out);
-}
-
-void ParallelChase::CollectFull(std::vector<HomSearch>* searches,
-                                std::uint32_t target_size,
-                                const CollectFn& collect,
-                                std::vector<TriggerCandidate>* out) {
-  const std::uint32_t chunk_size = ChunkSize(target_size, num_threads());
-  std::vector<Unit> units;
-  for (std::size_t r = 0; r < searches->size(); ++r) {
-    if ((*searches)[r].source_size() == 0) continue;
-    for (std::uint32_t lo = 0; lo < target_size; lo += chunk_size) {
-      units.push_back({r, 0, lo, std::min(target_size, lo + chunk_size)});
-    }
-  }
-  RunUnits(
-      pool_, units,
-      [&](const Unit& unit, std::vector<TriggerCandidate>* batch) {
-        (*searches)[unit.rule].ForEachFirstIn(
-            unit.lo, unit.hi, {}, [&](const Substitution& h) {
-              collect(unit.rule, h, batch);
-              return true;
-            });
-      },
-      out);
-}
 
 void ParallelChase::CollectJobs(std::vector<HomSearch>* searches,
                                 const std::vector<RuleJob>& jobs,

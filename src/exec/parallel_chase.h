@@ -109,30 +109,13 @@ class ParallelChase {
   /// The underlying pool, shared with HomSearch's pool-parallel queries.
   ThreadPool* pool() { return pool_; }
 
-  /// Parallel counterpart of the serial delta enumeration: appends to
-  /// `out` the same candidate multiset that running ForEachDelta(seed={},
-  /// [delta_begin, delta_end)) over every search in `searches` produces.
-  /// Work units are (rule, anchor, delta-chunk) triples; a step narrow
-  /// enough to yield a single unit runs inline on the caller.
-  void CollectDelta(std::vector<HomSearch>* searches,
-                    std::uint32_t delta_begin, std::uint32_t delta_end,
-                    const CollectFn& collect,
-                    std::vector<TriggerCandidate>* out);
-
-  /// Parallel counterpart of the full (first-step / naive) enumeration:
-  /// appends the candidate multiset of ForEach(seed={}) over every search.
-  /// Work units are (rule, first-atom-chunk) pairs over the target prefix
-  /// [0, target_size).
-  void CollectFull(std::vector<HomSearch>* searches,
-                   std::uint32_t target_size, const CollectFn& collect,
-                   std::vector<TriggerCandidate>* out);
-
   /// Job-based enumeration: appends the candidate multiset of running
   /// each job's search — ForEach-equivalent over [0, delta_end) for a
   /// `full` job, ForEachDelta-equivalent over [job.delta_begin, delta_end)
-  /// otherwise. With one job per rule and a common window this reproduces
-  /// CollectDelta / CollectFull exactly; the scheduler's per-rule windows
-  /// are the general case. Work units are (job, anchor, chunk) triples.
+  /// otherwise. Work units are (job, anchor, chunk) triples: a qualifying
+  /// homomorphism has exactly one anchor atom and one anchor image index,
+  /// so they partition the enumeration. A step narrow enough to yield a
+  /// single unit runs inline on the caller.
   void CollectJobs(std::vector<HomSearch>* searches,
                    const std::vector<RuleJob>& jobs, std::uint32_t delta_end,
                    const CollectFn& collect,

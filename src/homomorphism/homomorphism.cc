@@ -175,7 +175,7 @@ void Search(SearchState* st, std::size_t depth) {
     IndexView narrowed =
         st->target->AtomsWithIn(a.pred(), static_cast<int>(p), resolved, lo,
                                 hi);
-    // Column-store views own their (merged) result; move, don't copy.
+    // Point-lookup views own their (merged) result; move, don't copy.
     if (narrowed.size() < candidates.size()) candidates = std::move(narrowed);
   }
   for (std::uint32_t idx : candidates) {
@@ -415,31 +415,6 @@ bool HomSearch::ExistsParallel(ThreadPool* pool,
   }
   pool->WaitAll();
   return found.load(std::memory_order_relaxed);
-}
-
-std::size_t HomSearch::CountParallel(ThreadPool* pool,
-                                     const Substitution& seed) const {
-  const std::uint32_t n = static_cast<std::uint32_t>(target_->size());
-  const FirstAtomChunks plan =
-      PlanFirstAtomChunks(n, pool == nullptr ? 0 : pool->num_workers());
-  if (pool == nullptr || pool->num_workers() == 0 || source_.empty() ||
-      plan.count < 2) {
-    return ForEach(seed, [](const Substitution&) { return true; });
-  }
-  std::vector<std::size_t> counts(plan.count, 0);
-  for (std::size_t k = 0; k < plan.count; ++k) {
-    const std::uint32_t lo = static_cast<std::uint32_t>(k) * plan.size;
-    const std::uint32_t hi = std::min(n, lo + plan.size);
-    if (lo >= hi) break;
-    pool->Submit([this, &seed, &counts, k, lo, hi] {
-      counts[k] = ForEachFirstIn(
-          lo, hi, seed, [](const Substitution&) { return true; });
-    });
-  }
-  pool->WaitAll();
-  std::size_t total = 0;
-  for (std::size_t c : counts) total += c;
-  return total;
 }
 
 std::optional<Substitution> HomSearch::FindOne(const Substitution& seed) const {

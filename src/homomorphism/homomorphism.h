@@ -106,7 +106,7 @@ class HomSearch {
                                     std::size_t limit = SIZE_MAX) const;
 
   // --- Pool-parallel queries ------------------------------------------------
-  // All three partition the image candidates of the first source atom into
+  // Both partition the image candidates of the first source atom into
   // index chunks fanned out over `pool`; results are bit-identical to the
   // serial counterparts (FindAllParallel preserves enumeration order by
   // concatenating chunks in index order). A null/empty pool falls back to
@@ -122,10 +122,6 @@ class HomSearch {
   /// Parallel existence check; sibling chunks are cancelled as soon as one
   /// finds a witness.
   bool ExistsParallel(ThreadPool* pool, const Substitution& seed = {}) const;
-
-  /// Parallel count of all homomorphisms extending `seed`.
-  std::size_t CountParallel(ThreadPool* pool,
-                            const Substitution& seed = {}) const;
 
   /// The source atoms in the (fully deterministic) search order. Exposed for
   /// tests of the ordering heuristic.

@@ -6,28 +6,14 @@
 
 namespace bddfc {
 
-Instance::Instance(Universe* universe, StorageKind storage)
-    : universe_(universe), store_(FactStore::Create(storage)) {
+Instance::Instance(Universe* universe)
+    : universe_(universe), store_(std::make_unique<FactStore>()) {
   BDDFC_CHECK(universe != nullptr);
   AddAtom(Atom(universe->top(), {}));
 }
 
 Instance::Instance(const Instance& other)
     : universe_(other.universe_), store_(other.store_->Clone()) {}
-
-Instance::Instance(const Instance& other, StorageKind storage)
-    : universe_(other.universe_) {
-  if (storage == other.storage()) {
-    // Same backend: the store's deep copy preserves index structures and
-    // run layout instead of replaying every atom through the hash paths.
-    store_ = other.store_->Clone();
-    return;
-  }
-  store_ = FactStore::Create(storage);
-  // atoms()[0] is ⊤, so the bulk append reconstructs the full sequence
-  // (including the implicit fact) in order.
-  store_->AddAtoms(other.atoms());
-}
 
 Instance& Instance::operator=(const Instance& other) {
   if (this == &other) return *this;
@@ -53,7 +39,7 @@ void Instance::AddAtoms(const Atom* begin, const Atom* end) {
 
 Instance Instance::Restrict(
     const std::unordered_set<PredicateId>& preds) const {
-  Instance out(universe_, storage());
+  Instance out(universe_);
   std::vector<Atom> kept;
   for (const Atom& a : atoms()) {
     if (preds.find(a.pred()) != preds.end()) kept.push_back(a);
@@ -63,7 +49,7 @@ Instance Instance::Restrict(
 }
 
 Instance Instance::Map(const Substitution& sigma) const {
-  Instance out(universe_, storage());
+  Instance out(universe_);
   std::vector<Atom> mapped;
   mapped.reserve(size());
   for (const Atom& a : atoms()) mapped.push_back(sigma.Apply(a));
@@ -74,7 +60,7 @@ Instance Instance::Map(const Substitution& sigma) const {
 Instance Instance::DisjointUnion(const Instance& a, const Instance& b) {
   BDDFC_CHECK_EQ(a.universe_, b.universe_);
   Universe* u = a.universe_;
-  Instance out(u, a.storage());
+  Instance out(u);
   Substitution rename;
   for (Term t : b.ActiveDomain()) {
     if (t.IsRigid()) continue;

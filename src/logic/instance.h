@@ -2,13 +2,9 @@
 // and the chase rely on. Instances are grow-only; restriction and union
 // build new instances.
 //
-// Since the storage-API redesign an Instance is a thin owner of a
-// bddfc::FactStore (src/storage/): it binds the store to a Universe (arity
-// checking, the implicit ⊤ fact) and forwards every query to the backend
-// selected at construction — StorageKind::kRow (hash-map indexes, the
-// historical layout) or StorageKind::kColumn (VLog-style columnar tables).
-// Both backends answer every query identically, so engines never care
-// which one is underneath.
+// An Instance is a thin owner of a bddfc::FactStore (src/storage/): it
+// binds the store to a Universe (arity checking, the implicit ⊤ fact) and
+// forwards every query to it.
 //
 // Per the paper (Section 2.1), every instance implicitly contains the
 // nullary fact ⊤; Instance adds it on construction.
@@ -36,22 +32,17 @@ namespace bddfc {
 /// enumerator scan exactly such a delta.
 class Instance {
  public:
-  /// Creates an instance containing only the implicit ⊤ fact, stored in
-  /// the given backend.
-  explicit Instance(Universe* universe,
-                    StorageKind storage = StorageKind::kRow);
+  /// Creates an instance containing only the implicit ⊤ fact.
+  explicit Instance(Universe* universe);
 
-  /// Deep copy, keeping (or overriding) the source's storage backend.
+  /// Deep copy (FactStore::Clone: atom order, membership table and sorted
+  /// runs are copied, nothing is re-sealed).
   Instance(const Instance& other);
-  Instance(const Instance& other, StorageKind storage);
   Instance& operator=(const Instance& other);
   Instance(Instance&&) = default;
   Instance& operator=(Instance&&) = default;
 
   Universe* universe() const { return universe_; }
-
-  /// The storage backend this instance lives in.
-  StorageKind storage() const { return store_->kind(); }
 
   /// The underlying store (index lookups not re-exported here, storage
   /// diagnostics). Treat as read-only.
@@ -60,8 +51,8 @@ class Instance {
   /// Adds an atom; returns true if it was not already present.
   bool AddAtom(const Atom& atom);
 
-  /// Adds every atom of `atoms` as one bulk batch (index construction is
-  /// deferred by the backends, so build-then-scan consumers never pay for
+  /// Adds every atom of `atoms` as one bulk batch (run sealing is deferred
+  /// to the first index query, so build-then-scan consumers never pay for
   /// indexes).
   void AddAtoms(const std::vector<Atom>& atoms) {
     AddAtoms(atoms.data(), atoms.data() + atoms.size());

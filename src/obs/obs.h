@@ -22,7 +22,7 @@
 //
 // Neither instrument may perturb engine behavior: recording only observes.
 // The chase's bit-identical-run guarantee (atoms, trigger order, fresh-null
-// numbering at any engine x storage x thread count) holds with tracing on,
+// numbering at any engine x thread count) holds with tracing on,
 // off, or compiled out — tests/obs_test.cc proves it differentially.
 //
 // Compile-time kill switch: configure with -DBDDFC_OBS=OFF to define

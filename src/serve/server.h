@@ -48,10 +48,10 @@ namespace bddfc {
 namespace serve {
 
 struct ServerOptions {
-  /// Session configuration (chase variant/engine/bounds/storage). The
-  /// answer strategy is forced to materialize-semantics; leave
-  /// num_threads at 1 — intra-request parallelism is not used, the server
-  /// scales across requests instead.
+  /// Session configuration (chase variant/engine/bounds). The answer
+  /// strategy is forced to materialize-semantics; leave
+  /// chase.exec.num_threads at 1 — intra-request parallelism is not used,
+  /// the server scales across requests instead.
   ReasonerOptions reasoner;
   /// Dispatcher worker threads executing requests (0 = all hardware
   /// threads, 1 = execute inline on the connection threads).

@@ -2,37 +2,191 @@
 
 #include <algorithm>
 
-#include "storage/column_store.h"
-#include "storage/row_store.h"
+#include "obs/obs.h"
 
 namespace bddfc {
 
+namespace {
+
+constexpr std::size_t kInitialSlots = 64;  // power of two
+
+}  // namespace
+
 const std::vector<std::uint32_t> FactStore::kEmptyIndex;
 
-const char* ToString(StorageKind kind) {
-  switch (kind) {
-    case StorageKind::kRow:
-      return "row";
-    case StorageKind::kColumn:
-      return "column";
+std::size_t FactStore::FindSlot(const Atom& atom) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = AtomHash{}(atom) & mask;
+  while (slots_[slot] != 0) {
+    if (atoms_[slots_[slot] - 1] == atom) return slot;
+    slot = (slot + 1) & mask;
   }
-  return "?";
+  return slot;
 }
 
-std::unique_ptr<FactStore> FactStore::Create(StorageKind kind) {
-  switch (kind) {
-    case StorageKind::kRow:
-      return std::make_unique<RowStore>();
-    case StorageKind::kColumn:
-      return std::make_unique<ColumnStore>();
+void FactStore::GrowSlots(std::size_t pending) {
+  std::size_t capacity = slots_.empty() ? kInitialSlots : slots_.size();
+  while (2 * (slots_used_ + pending) >= capacity) capacity *= 2;
+  if (capacity == slots_.size()) return;
+  std::vector<std::uint32_t> old = std::move(slots_);
+  slots_.assign(capacity, 0);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::uint32_t stored : old) {
+    if (stored == 0) continue;
+    std::size_t slot = AtomHash{}(atoms_[stored - 1]) & mask;
+    while (slots_[slot] != 0) slot = (slot + 1) & mask;
+    slots_[slot] = stored;
   }
-  BDDFC_CHECK(false);
-  return nullptr;
 }
 
-IndexView FactStore::ClampView(const std::vector<std::uint32_t>& indices,
-                               std::uint32_t lo, std::uint32_t hi) const {
+std::unique_ptr<FactStore> FactStore::Clone() const {
+  auto copy = std::make_unique<FactStore>();
+  // The copy's generation counter stays its own: no view borrowed from
+  // this store can ever observe the copy.
+  copy->atoms_ = atoms_;
+  copy->adom_ = adom_;
+  copy->adom_set_ = adom_set_;
+  copy->slots_ = slots_;
+  copy->slots_used_ = slots_used_;
+  // Lock only to order against a concurrent lazy seal (EnsureRuns) on a
+  // query thread; mutation is single-threaded per the thread model.
+  std::lock_guard<std::mutex> lock(runs_mutex_);
+  copy->tables_.reserve(tables_.size());
+  for (const auto& table : tables_) {
+    copy->tables_.push_back(table == nullptr ? nullptr
+                                             : std::make_unique<PredTable>(
+                                                   *table));
+  }
+  copy->runs_current_.store(runs_current_.load(std::memory_order_acquire),
+                            std::memory_order_release);
+  return copy;
+}
+
+std::size_t FactStore::IndexOf(const Atom& atom) const {
+  if (slots_.empty()) return SIZE_MAX;
+  const std::uint32_t stored = slots_[FindSlot(atom)];
+  return stored == 0 ? SIZE_MAX : stored - 1;
+}
+
+FactStore::PredTable& FactStore::TableFor(PredicateId pred,
+                                          std::size_t arity) {
+  if (pred >= tables_.size()) tables_.resize(pred + 1);
+  if (tables_[pred] == nullptr) {
+    tables_[pred] = std::make_unique<PredTable>();
+    tables_[pred]->columns.resize(arity);
+    tables_[pred]->perms.resize(arity);
+  }
+  PredTable& table = *tables_[pred];
+  // The first atom establishes the predicate's arity; a mismatch later
+  // would silently misalign the columns (Instance CHECKs this against the
+  // Universe, but the raw store API must hold its own invariant).
+  BDDFC_CHECK_EQ(table.columns.size(), arity);
+  return table;
+}
+
+bool FactStore::AddAtom(const Atom& atom) {
+  GrowSlots(1);
+  const std::size_t slot = FindSlot(atom);
+  if (slots_[slot] != 0) return false;
+  const std::uint32_t idx = static_cast<std::uint32_t>(atoms_.size());
+  atoms_.push_back(atom);
+  for (Term t : atom.args()) {
+    if (adom_set_.insert(t).second) adom_.push_back(t);
+  }
+#ifndef NDEBUG
+  ++*generation_;
+#endif
+  slots_[slot] = idx + 1;
+  ++slots_used_;
+  PredTable& table = TableFor(atom.pred(), atom.arity());
+  table.rows.push_back(idx);
+  for (std::size_t pos = 0; pos < atom.arity(); ++pos) {
+    table.columns[pos].push_back(atom.arg(pos));
+  }
+  runs_current_.store(false, std::memory_order_release);
+  return true;
+}
+
+void FactStore::AddAtoms(const Atom* begin, const Atom* end) {
+  const std::size_t count = static_cast<std::size_t>(end - begin);
+  atoms_.reserve(atoms_.size() + count);
+  GrowSlots(count);  // one rehash for the whole batch, not log n
+  for (const Atom* a = begin; a != end; ++a) AddAtom(*a);
+}
+
+void FactStore::SealTable(PredTable* table) {
+  const std::uint32_t n = static_cast<std::uint32_t>(table->rows.size());
+  if (table->sealed == n) return;
+  BDDFC_OBS_SPAN(seal_span, "storage", "storage.run_seal");
+  seal_span.Arg("rows", n - table->sealed);
+  // Stores have no per-run config, so their telemetry goes to the
+  // process-global registry (pointer interned once).
+  static obs::Counter* seals = obs::Metrics().GetCounter("storage.run_seals");
+  seals->Add(1);
+  const std::size_t arity = table->columns.size();
+  for (std::size_t pos = 0; pos < arity; ++pos) {
+    const std::vector<Term>& column = table->columns[pos];
+    std::vector<std::uint32_t>& perm = table->perms[pos];
+    const std::size_t run_begin = perm.size();
+    perm.reserve(n);
+    for (std::uint32_t r = table->sealed; r < n; ++r) perm.push_back(r);
+    std::sort(perm.begin() + run_begin, perm.end(),
+              [&column](std::uint32_t a, std::uint32_t b) {
+                if (column[a] != column[b]) return column[a] < column[b];
+                return a < b;
+              });
+  }
+  table->run_ends.push_back(n);
+  table->sealed = n;
+  // Lazy merge-sort discipline: merging whenever the newest run is no
+  // shorter than its predecessor keeps run lengths strictly decreasing
+  // (at most log n runs) at O(n log n) total maintenance cost.
+  while (table->run_ends.size() >= 2) {
+    const std::size_t k = table->run_ends.size();
+    const std::uint32_t mid = table->run_ends[k - 2];
+    const std::uint32_t begin = k >= 3 ? table->run_ends[k - 3] : 0;
+    if (table->run_ends[k - 1] - mid < mid - begin) break;
+    BDDFC_OBS_SPAN(merge_span, "storage", "storage.run_merge");
+    merge_span.Arg("rows", table->run_ends[k - 1] - begin);
+    static obs::Counter* merges =
+        obs::Metrics().GetCounter("storage.run_merges");
+    merges->Add(1);
+    for (std::size_t pos = 0; pos < arity; ++pos) {
+      const std::vector<Term>& column = table->columns[pos];
+      std::vector<std::uint32_t>& perm = table->perms[pos];
+      std::inplace_merge(perm.begin() + begin, perm.begin() + mid,
+                         perm.begin() + table->run_ends[k - 1],
+                         [&column](std::uint32_t a, std::uint32_t b) {
+                           if (column[a] != column[b]) {
+                             return column[a] < column[b];
+                           }
+                           return a < b;
+                         });
+    }
+    table->run_ends.erase(table->run_ends.end() - 2);
+  }
+}
+
+void FactStore::EnsureRuns() const {
+  if (runs_current_.load(std::memory_order_acquire)) return;
+  std::lock_guard<std::mutex> lock(runs_mutex_);
+  if (runs_current_.load(std::memory_order_relaxed)) return;
+  for (const std::unique_ptr<PredTable>& table : tables_) {
+    if (table != nullptr) SealTable(table.get());
+  }
+  runs_current_.store(true, std::memory_order_release);
+}
+
+const std::vector<std::uint32_t>& FactStore::AtomsWith(
+    PredicateId pred) const {
+  if (pred >= tables_.size() || tables_[pred] == nullptr) return kEmptyIndex;
+  return tables_[pred]->rows;
+}
+
+IndexView FactStore::AtomsWithIn(PredicateId pred, std::uint32_t lo,
+                                 std::uint32_t hi) const {
   if (lo >= hi) return IndexView();
+  const std::vector<std::uint32_t>& indices = AtomsWith(pred);
   const std::uint32_t* begin = indices.data();
   const std::uint32_t* end = begin + indices.size();
   if (lo > 0) begin = std::lower_bound(begin, end, lo);
@@ -42,9 +196,77 @@ IndexView FactStore::ClampView(const std::vector<std::uint32_t>& indices,
   return BorrowView(begin, end);
 }
 
-IndexView FactStore::AtomsWithIn(PredicateId pred, std::uint32_t lo,
-                                 std::uint32_t hi) const {
-  return ClampView(AtomsWith(pred), lo, hi);
+IndexView FactStore::AtomsWithIn(PredicateId pred, int pos, Term t,
+                                 std::uint32_t lo, std::uint32_t hi) const {
+  // A negative position is a programmer error; a position beyond the
+  // predicate's arity is merely an empty lookup.
+  BDDFC_CHECK_GE(pos, 0);
+  if (lo >= hi || pred >= tables_.size() || tables_[pred] == nullptr) {
+    return IndexView();
+  }
+  const PredTable& table = *tables_[pred];
+  if (static_cast<std::size_t>(pos) >= table.columns.size()) {
+    return IndexView();
+  }
+  EnsureRuns();
+  // Local rows whose global index falls in [lo, hi): `rows` is ascending,
+  // so they form the contiguous local range [rlo, rhi).
+  const auto rows_begin = table.rows.begin();
+  const std::uint32_t rlo = static_cast<std::uint32_t>(
+      std::lower_bound(rows_begin, table.rows.end(), lo) - rows_begin);
+  const std::uint32_t rhi = static_cast<std::uint32_t>(
+      std::lower_bound(rows_begin, table.rows.end(), hi) - rows_begin);
+  if (rlo >= rhi) return IndexView();
+  const std::vector<Term>& column = table.columns[pos];
+  const std::vector<std::uint32_t>& perm = table.perms[pos];
+  std::vector<std::uint32_t> out;
+  std::uint32_t run_begin = 0;
+  for (const std::uint32_t run_end : table.run_ends) {
+    // Entries with term == t form a contiguous (term, row)-sorted span.
+    auto first = std::lower_bound(
+        perm.begin() + run_begin, perm.begin() + run_end, t,
+        [&column](std::uint32_t r, Term v) { return column[r] < v; });
+    auto last = std::upper_bound(
+        first, perm.begin() + run_end, t,
+        [&column](Term v, std::uint32_t r) { return v < column[r]; });
+    // Within the span local rows ascend; clamp to [rlo, rhi).
+    first = std::lower_bound(first, last, rlo);
+    last = std::lower_bound(first, last, rhi);
+    for (auto it = first; it != last; ++it) out.push_back(table.rows[*it]);
+    run_begin = run_end;
+  }
+  // Each run contributed an ascending slice; interleave them into the
+  // global ascending order the contract requires.
+  if (table.run_ends.size() > 1) std::sort(out.begin(), out.end());
+  return IndexView(std::move(out));
+}
+
+SortedRunsView FactStore::SortedRuns(PredicateId pred, int pos) const {
+  BDDFC_CHECK_GE(pos, 0);
+  if (pred >= tables_.size() || tables_[pred] == nullptr) {
+    return SortedRunsView();
+  }
+  const PredTable& table = *tables_[pred];
+  if (static_cast<std::size_t>(pos) >= table.columns.size() ||
+      table.rows.empty()) {
+    return SortedRunsView();
+  }
+  EnsureRuns();
+#ifndef NDEBUG
+  const std::shared_ptr<const std::uint64_t>& generation = generation_;
+#else
+  const std::shared_ptr<const std::uint64_t> generation;
+#endif
+  return SortedRunsView(table.columns[pos].data(), table.rows.data(),
+                        table.perms[pos].data(), table.run_ends.data(),
+                        static_cast<std::uint32_t>(table.rows.size()),
+                        static_cast<std::uint32_t>(table.run_ends.size()),
+                        generation);
+}
+
+std::size_t FactStore::NumRuns(PredicateId pred) const {
+  if (pred >= tables_.size() || tables_[pred] == nullptr) return 0;
+  return tables_[pred]->run_ends.size();
 }
 
 }  // namespace bddfc

@@ -1,38 +1,41 @@
-// The pluggable fact-storage API: the narrow contract every engine (chase,
-// parallel exec, homomorphism search, rewriting evaluation, the Reasoner
-// facade) relies on, extracted from the historical all-in-one Instance.
+// The fact store: the storage layer every engine (chase, parallel exec,
+// homomorphism search, rewriting evaluation, the Reasoner facade) sits on.
 //
 // A FactStore is an append-only set of ground atoms with
 //   * a stable insertion order (atom index i never changes; the chase uses
 //     contiguous index ranges as per-step deltas),
 //   * exact membership (Contains / IndexOf),
 //   * per-predicate and per-(predicate, position, term) index lookups whose
-//     results are always in ascending atom-index order, and
-//   * range-filtered delta views (AtomsWithIn) over those lookups.
+//     results are always in ascending atom-index order,
+//   * range-filtered delta views (AtomsWithIn) over those lookups, and
+//   * per-(predicate, position) sorted runs, the segment engine's merge-join
+//     input.
 //
-// Two backends implement the contract:
-//   * RowStore (row_store.h) — the historical Instance layout: one hash
-//     entry per atom plus eager hash-map indexes. Fastest point lookups,
-//     O(atoms × arity) index entries.
-//   * ColumnStore (column_store.h) — a VLog-inspired columnar layout:
-//     per-predicate column vectors with lazily merged sorted runs and
-//     binary-search point lookups. O(atoms) index memory; built for
-//     large-EDB materializations.
-//
-// Both backends return identical results for every query (the storage
-// differential suite in tests/storage_test.cc enumerates the contract), so
-// chase runs are bit-identical across backends at every thread count.
+// The layout is columnar, after VLog's dictionary-sorted columns. Per
+// predicate, atoms live in column vectors (one vector<Term> per argument
+// position) aligned with a `rows` vector of global atom indices. Point
+// lookups binary-search per-position permutation arrays kept as *sorted
+// runs*: each batch of appended rows is sealed into a run sorted by (term,
+// row), and runs are merged lazily with a merge-sort discipline (merge
+// while the newest run is no shorter than its predecessor), so maintenance
+// is O(n log n) total and every lookup touches at most O(log n) runs.
+// Exact membership uses a flat open-addressing table of atom indices (8
+// bytes per atom at 50% load). Index memory is O(atoms): 4 bytes per
+// index entry, no per-key allocation.
 //
 // Thread model: mutation (AddAtom/AddAtoms) is single-threaded; queries are
 // const and may run concurrently from many threads (the parallel chase
-// does). Lazily built indexes are guarded by a double-checked lock, so the
+// does). Runs are sealed lazily on the first query after a mutation,
+// behind a double-checked lock, so bulk loads sort once per batch and the
 // first concurrent query wave is safe.
 
 #ifndef BDDFC_STORAGE_FACT_STORE_H_
 #define BDDFC_STORAGE_FACT_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -44,19 +47,10 @@
 
 namespace bddfc {
 
-/// Which FactStore backend to use. See the file comment for the trade-off.
-enum class StorageKind {
-  kRow,
-  kColumn,
-};
-
-/// Human-readable backend name ("row" / "column").
-const char* ToString(StorageKind kind);
-
 /// A view over atom indices in ascending order. Views either *borrow* a
-/// contiguous range of one of the store's index vectors (row-store lookups,
-/// per-predicate scans) or *own* a materialized result (column-store point
-/// lookups merge several sorted runs into a private buffer).
+/// contiguous range of one of the store's index vectors (per-predicate
+/// scans) or *own* a materialized result (point lookups merge several
+/// sorted runs into a private buffer).
 ///
 /// Borrowed views are invalidated by any mutation of the store — the
 /// underlying vectors may reallocate — so never hold one across AddAtom /
@@ -67,7 +61,7 @@ class IndexView {
  public:
   IndexView() = default;
 
-  /// Borrowed view without a generation guard (tests, scratch buffers).
+  /// Borrowed view without a generation guard (release builds).
   IndexView(const std::uint32_t* begin, const std::uint32_t* end)
       : begin_(begin), end_(end) {}
 
@@ -177,21 +171,19 @@ class IndexView {
 /// generalizing the point lookups above.
 ///
 /// The view covers every atom of the predicate, as a sequence of `size()`
-/// entries partitioned into `num_runs()` runs. Entry k exposes the term at
-/// the viewed position (`term(k)`) and the atom's global index
+/// entries partitioned into `num_runs()` runs (at most O(log n); the
+/// store's native run structure, borrowed zero-copy). Entry k exposes the
+/// term at the viewed position (`term(k)`) and the atom's global index
 /// (`global(k)`); within each run the (term, global) pairs are strictly
 /// ascending, so equal-term entries form a contiguous span per run and
 /// their globals ascend — a merge join can binary-search each run for a
 /// probe term and early-exit a span once the globals leave its delta
-/// range. The column store hands out its native run structure (at most
-/// O(log n) runs, zero copies); the row store materializes one fully
-/// sorted run on demand (correct, slower — see RowStore::SortedRuns).
+/// range.
 ///
-/// Lifetime mirrors IndexView: a borrowed view (column store) is
-/// invalidated by any mutation of the store, and in debug builds carries
-/// the store's generation counter so a stale deref fails a CHECK instead
-/// of reading vacated memory. A view backed by `keepalive` (row store)
-/// owns a snapshot and stays valid across mutation — it just goes stale.
+/// Lifetime mirrors a borrowed IndexView: the view is invalidated by any
+/// mutation of the store, and in debug builds carries the store's
+/// generation counter so a stale deref fails a CHECK instead of reading
+/// vacated memory.
 class SortedRunsView {
  public:
   SortedRunsView() = default;
@@ -199,15 +191,13 @@ class SortedRunsView {
   SortedRunsView(const Term* column, const std::uint32_t* rows,
                  const std::uint32_t* perm, const std::uint32_t* run_ends,
                  std::uint32_t size, std::uint32_t num_runs,
-                 std::shared_ptr<const void> keepalive,
                  const std::shared_ptr<const std::uint64_t>& generation)
       : column_(column),
         rows_(rows),
         perm_(perm),
         run_ends_(run_ends),
         size_(size),
-        num_runs_(num_runs),
-        keepalive_(std::move(keepalive)) {
+        num_runs_(num_runs) {
 #ifndef NDEBUG
     generation_ = generation;
     expected_generation_ = generation == nullptr ? 0 : *generation;
@@ -267,23 +257,23 @@ class SortedRunsView {
   const std::uint32_t* run_ends_ = nullptr;  // exclusive entry end per run
   std::uint32_t size_ = 0;
   std::uint32_t num_runs_ = 0;
-  std::shared_ptr<const void> keepalive_;  // row-store snapshot owner
 #ifndef NDEBUG
   std::shared_ptr<const std::uint64_t> generation_;
   std::uint64_t expected_generation_ = 0;
 #endif
 };
 
-/// Abstract fact storage. Owns the atom sequence and active domain (shared
-/// by every backend); subclasses own the index structures. All index query
-/// results list atom indices in ascending order — the engines' determinism
-/// guarantee (bit-identical chase runs on every backend) rests on it.
+/// The columnar fact store. See the file comment for the layout. All index
+/// query results list atom indices in ascending order — the engines'
+/// determinism guarantee (bit-identical chase runs at every thread count)
+/// rests on it.
 class FactStore {
  public:
-  /// Creates an empty store of the given backend.
-  static std::unique_ptr<FactStore> Create(StorageKind kind);
+  FactStore() = default;
+  FactStore(const FactStore&) = delete;
+  FactStore& operator=(const FactStore&) = delete;
 
-  virtual ~FactStore() {
+  ~FactStore() {
 #ifndef NDEBUG
     // Poison the shared counter: any further deref of a borrowed view
     // (store destroyed) becomes a CHECK failure.
@@ -291,55 +281,49 @@ class FactStore {
 #endif
   }
 
-  virtual StorageKind kind() const = 0;
-
-  /// Deep-copies the store, preserving atom order, index structures and
-  /// (for the column store) the exact sorted-run layout, so the copy
-  /// answers every contract query identically to the original — including
-  /// run-structure diagnostics — without re-hashing or re-sealing anything.
-  /// Much faster than replaying atoms() through AddAtoms on a fresh store;
-  /// this is the epoch-snapshot path of the server (src/serve/snapshot.h).
-  /// The copy is fully independent: mutating either store never affects
-  /// the other (immutable cached artifacts may be shared). Thread-safe
-  /// against concurrent const queries, like any other const operation.
-  virtual std::unique_ptr<FactStore> Clone() const = 0;
+  /// Deep-copies the store, preserving atom order, the membership table
+  /// and the exact sorted-run layout (no re-seal, no re-merge: NumRuns
+  /// agrees with the original), so the copy answers every query
+  /// identically to the original. Much faster than replaying atoms()
+  /// through AddAtoms on a fresh store; this is the epoch-snapshot path of
+  /// the server (src/serve/snapshot.h). The copy is fully independent:
+  /// mutating either store never affects the other. Thread-safe against
+  /// concurrent const queries, like any other const operation.
+  std::unique_ptr<FactStore> Clone() const;
 
   /// Adds an atom; returns true if it was not already present.
-  virtual bool AddAtom(const Atom& atom) = 0;
+  bool AddAtom(const Atom& atom);
 
   /// Bulk append over a contiguous range (no intermediate vector needed to
-  /// batch a slice of an existing sequence). The batch size is known up
-  /// front, so backends reserve their growth structures once (the column
-  /// store also pre-grows its membership table); index construction is
-  /// deferred for the whole batch — and beyond: indexes are built lazily
-  /// on first query, so a store that is only ever scanned via atoms()
-  /// never pays for them.
-  virtual void AddAtoms(const Atom* begin, const Atom* end) {
-    ReserveAtoms(static_cast<std::size_t>(end - begin));
-    for (const Atom* a = begin; a != end; ++a) AddAtom(*a);
-  }
+  /// batch a slice of an existing sequence). Grows the atom sequence and
+  /// the membership table to the batch's final size once instead of
+  /// rehashing along the way; runs stay unsealed until the first query, so
+  /// a store that is only ever scanned via atoms() never sorts anything.
+  void AddAtoms(const Atom* begin, const Atom* end);
 
   void AddAtoms(const std::vector<Atom>& atoms) {
     AddAtoms(atoms.data(), atoms.data() + atoms.size());
   }
 
-  virtual bool Contains(const Atom& atom) const = 0;
+  bool Contains(const Atom& atom) const { return IndexOf(atom) != SIZE_MAX; }
 
   /// Position of `atom` in atoms(), or SIZE_MAX when absent.
-  virtual std::size_t IndexOf(const Atom& atom) const = 0;
+  std::size_t IndexOf(const Atom& atom) const;
 
   /// All atoms in insertion order.
   const std::vector<Atom>& atoms() const { return atoms_; }
 
   std::size_t size() const { return atoms_.size(); }
 
-  /// Indices (into atoms()) of atoms over `pred`, ascending.
-  virtual const std::vector<std::uint32_t>& AtomsWith(
-      PredicateId pred) const = 0;
+  /// Indices (into atoms()) of atoms over `pred`, ascending. The reference
+  /// stays valid (and grows in place) across later insertions.
+  const std::vector<std::uint32_t>& AtomsWith(PredicateId pred) const;
 
   /// Indices of atoms over `pred` whose argument `pos` equals `t`,
   /// ascending.
-  virtual IndexView AtomsWith(PredicateId pred, int pos, Term t) const = 0;
+  IndexView AtomsWith(PredicateId pred, int pos, Term t) const {
+    return AtomsWithIn(pred, pos, t, 0, static_cast<std::uint32_t>(size()));
+  }
 
   /// View of AtomsWith(pred) restricted to atom indices in [lo, hi).
   IndexView AtomsWithIn(PredicateId pred, std::uint32_t lo,
@@ -347,17 +331,21 @@ class FactStore {
 
   /// View of AtomsWith(pred, pos, t) restricted to atom indices in
   /// [lo, hi).
-  virtual IndexView AtomsWithIn(PredicateId pred, int pos, Term t,
-                                std::uint32_t lo,
-                                std::uint32_t hi) const = 0;
+  IndexView AtomsWithIn(PredicateId pred, int pos, Term t, std::uint32_t lo,
+                        std::uint32_t hi) const;
 
   /// The sorted-run structure of (pred, pos): every atom of `pred` exactly
   /// once, partitioned into runs each strictly ascending by (term at pos,
   /// global atom index). Empty view when the predicate is absent or `pos`
-  /// is beyond its arity. Thread-safe against concurrent queries (lazy
-  /// structures are built behind the backends' double-checked locks), not
-  /// against concurrent mutation — the usual FactStore thread model.
-  virtual SortedRunsView SortedRuns(PredicateId pred, int pos) const = 0;
+  /// is beyond its arity. Thread-safe against concurrent queries, not
+  /// against concurrent mutation — the usual thread model.
+  SortedRunsView SortedRuns(PredicateId pred, int pos) const;
+
+  /// Number of unmerged sorted runs of `pred`'s tables as of the last
+  /// seal (diagnostics and the merge-policy tests; 0 when the predicate
+  /// is absent). Atoms appended since the last query are not yet sealed
+  /// into a run and are not reflected here.
+  std::size_t NumRuns(PredicateId pred) const;
 
   /// The active domain: every term occurring in some atom, in first-seen
   /// order.
@@ -367,47 +355,37 @@ class FactStore {
     return adom_set_.find(t) != adom_set_.end();
   }
 
-#ifndef NDEBUG
-  /// Mutation counter backing the debug-build IndexView guard. Bumped by
-  /// every successful insertion; poisoned by the destructor. Debug builds
-  /// only, like the guard itself.
-  std::uint64_t generation() const { return *generation_; }
-#endif
+ private:
+  struct PredTable {
+    /// Global atom indices, ascending (this *is* AtomsWith(pred)).
+    std::vector<std::uint32_t> rows;
+    /// columns[pos][r] = argument `pos` of local row r.
+    std::vector<std::vector<Term>> columns;
+    /// perms[pos]: local rows permuted into sorted runs ordered by
+    /// (columns[pos][r], r). All positions share the run boundaries.
+    std::vector<std::vector<std::uint32_t>> perms;
+    /// Exclusive ends of the sorted runs within perms[*].
+    std::vector<std::uint32_t> run_ends;
+    /// Local rows [0, sealed) are covered by runs; [sealed, rows.size())
+    /// is the unsealed tail awaiting the next EnsureRuns().
+    std::uint32_t sealed = 0;
+  };
 
- protected:
-  /// Appends `atom` to the shared sequence + active domain and bumps the
-  /// generation counter. Callers have already checked for duplicates.
-  /// Returns the new atom's index.
-  std::uint32_t RecordAtom(const Atom& atom) {
-    const std::uint32_t idx = static_cast<std::uint32_t>(atoms_.size());
-    atoms_.push_back(atom);
-    for (Term t : atom.args()) {
-      if (adom_set_.insert(t).second) adom_.push_back(t);
-    }
-#ifndef NDEBUG
-    ++*generation_;
-#endif
-    return idx;
-  }
+  PredTable& TableFor(PredicateId pred, std::size_t arity);
 
-  /// Reserves room for `extra` further atoms (bulk loads).
-  void ReserveAtoms(std::size_t extra) {
-    atoms_.reserve(atoms_.size() + extra);
-  }
+  // Open-addressing membership table: slots_ holds atom index + 1 (0 =
+  // empty); keys are the atoms themselves, compared against atoms_[idx].
+  std::size_t FindSlot(const Atom& atom) const;
+  // Ensures capacity for `pending` further insertions (50% max load).
+  void GrowSlots(std::size_t pending);
 
-  /// Copies the base-class state (atom sequence + active domain) from
-  /// `other` into this freshly created store. The generation counter stays
-  /// this store's own — no views borrowed from `other` can ever observe
-  /// the copy. Backends' Clone() implementations call this first.
-  void CopyBaseFrom(const FactStore& other) {
-    BDDFC_CHECK(atoms_.empty());
-    atoms_ = other.atoms_;
-    adom_ = other.adom_;
-    adom_set_ = other.adom_set_;
-  }
+  // Seals unsealed tails into new sorted runs and applies the lazy merge
+  // policy. Thread-safe double-checked lock (concurrent first queries).
+  void EnsureRuns() const;
+  static void SealTable(PredTable* table);
 
-  /// Borrowed view with this store's generation guard attached (release
-  /// builds hand out an unguarded view; the counter is never read there).
+  // Borrowed view with this store's generation guard attached (release
+  // builds hand out an unguarded view; the counter is never read there).
   IndexView BorrowView(const std::uint32_t* begin,
                        const std::uint32_t* end) const {
 #ifndef NDEBUG
@@ -417,37 +395,23 @@ class FactStore {
 #endif
   }
 
-  /// Clamps a sorted index vector to the atom-index range [lo, hi),
-  /// returning a guarded borrowed view.
-  IndexView ClampView(const std::vector<std::uint32_t>& indices,
-                      std::uint32_t lo, std::uint32_t hi) const;
-
-  /// Borrowed sorted-runs view with this store's generation guard attached
-  /// (release builds hand out an unguarded view, mirroring BorrowView).
-  /// Snapshot-backed views should construct SortedRunsView directly with
-  /// their keepalive and a null generation instead.
-  SortedRunsView BorrowRuns(const Term* column, const std::uint32_t* rows,
-                            const std::uint32_t* perm,
-                            const std::uint32_t* run_ends, std::uint32_t size,
-                            std::uint32_t num_runs) const {
-#ifndef NDEBUG
-    return SortedRunsView(column, rows, perm, run_ends, size, num_runs,
-                          nullptr, generation_);
-#else
-    return SortedRunsView(column, rows, perm, run_ends, size, num_runs,
-                          nullptr, nullptr);
-#endif
-  }
-
   static const std::vector<std::uint32_t> kEmptyIndex;
 
- private:
   std::vector<Atom> atoms_;
   std::vector<Term> adom_;
   std::unordered_set<Term> adom_set_;
+  // Indexed by PredicateId. Entries are heap-allocated so references the
+  // store hands out (AtomsWith(pred) returns a PredTable's `rows` by
+  // reference) survive the vector growing for new predicate ids.
+  std::vector<std::unique_ptr<PredTable>> tables_;
+  std::vector<std::uint32_t> slots_;
+  std::size_t slots_used_ = 0;
+  mutable std::atomic<bool> runs_current_{true};
+  mutable std::mutex runs_mutex_;
 #ifndef NDEBUG
-  // Shared with borrowed IndexViews (debug guard) so the check survives
-  // the store; the destructor poisons it.
+  // Mutation counter backing the debug-build view guard: bumped by every
+  // successful insertion, shared with borrowed views so the check survives
+  // the store, poisoned by the destructor.
   std::shared_ptr<std::uint64_t> generation_ =
       std::make_shared<std::uint64_t>(0);
 #endif

@@ -1,11 +1,9 @@
 // Tests for the segment-at-a-time chase engine (src/chase/segment_engine.h):
 // plan-compiler unit tests over the canonical body shapes, plus the
-// trigger-vs-segment differential — the ISSUE contract is saturated
-// atom-set equality, but the engines are designed to be bit-identical
-// (same atoms in the same order, same nulls, same provenance, same
-// truncation verdicts), so the differential asserts the stronger property
-// across all three chase variants, both storage backends, and serial as
-// well as pooled execution.
+// trigger-vs-segment differential. The engines are designed to be
+// bit-identical (same atoms in the same order, same nulls, same
+// provenance, same truncation verdicts), so the differential asserts that
+// across all three chase variants and serial as well as pooled execution.
 //
 // Each engine runs in its own Universe built by an identical interning
 // sequence, so ids and invented nulls line up exactly and instances can be
@@ -124,16 +122,15 @@ struct EngineRun {
 };
 
 // Builds the seed workload inside run->universe and executes the chase
-// with the given engine/backend/thread configuration. The construction
+// with the given engine/thread configuration. The construction
 // only depends on (text|spec, seed), never on the configuration, so twin
 // runs intern identical ids.
 void RunOnText(const std::string& rules_text, const std::string& db_text,
-               ChaseOptions options, ChaseEngine engine, StorageKind storage,
-               std::size_t threads, EngineRun* run) {
+               ChaseOptions options, ChaseEngine engine, std::size_t threads,
+               EngineRun* run) {
   RuleSet rules = MustParseRuleSet(&run->universe, rules_text);
   Instance db = MustParseInstance(&run->universe, db_text);
   options.exec.engine = engine;
-  options.exec.storage = storage;
   options.exec.num_threads = threads;
   run->chase =
       std::make_unique<ObliviousChase>(db, std::move(rules), options);
@@ -143,8 +140,7 @@ void RunOnText(const std::string& rules_text, const std::string& db_text,
 void RunOnRandomWorkload(std::uint64_t seed,
                          const generators::RuleSetSpec& spec,
                          ChaseOptions options, ChaseEngine engine,
-                         StorageKind storage, std::size_t threads,
-                         EngineRun* run) {
+                         std::size_t threads, EngineRun* run) {
   Rng rng(seed);
   RuleSet rules =
       generators::RandomBinaryRuleSet(&run->universe, spec, &rng);
@@ -152,7 +148,6 @@ void RunOnRandomWorkload(std::uint64_t seed,
                                            /*num_constants=*/5,
                                            /*num_atoms=*/8, &rng);
   options.exec.engine = engine;
-  options.exec.storage = storage;
   options.exec.num_threads = threads;
   run->chase =
       std::make_unique<ObliviousChase>(db, std::move(rules), options);
@@ -200,7 +195,6 @@ void ExpectIdentical(const EngineRun& a, const EngineRun& b) {
 constexpr ChaseVariant kVariants[] = {ChaseVariant::kOblivious,
                                       ChaseVariant::kSemiOblivious,
                                       ChaseVariant::kRestricted};
-constexpr StorageKind kBackends[] = {StorageKind::kRow, StorageKind::kColumn};
 constexpr std::size_t kThreadCounts[] = {1, 4};
 
 const char* VariantName(ChaseVariant v) {
@@ -215,29 +209,26 @@ const char* VariantName(ChaseVariant v) {
   return "?";
 }
 
-std::string ConfigName(ChaseVariant v, StorageKind s, std::size_t threads) {
-  return std::string(VariantName(v)) + " " + ToString(s) + " threads " +
-         std::to_string(threads);
+std::string ConfigName(ChaseVariant v, std::size_t threads) {
+  return std::string(VariantName(v)) + " threads " + std::to_string(threads);
 }
 
-// Runs the full variant × backend × thread matrix of one text workload:
-// the trigger engine (serial, row — the spec baseline) against the segment
-// engine in every configuration.
+// Runs the full variant × thread matrix of one text workload: the trigger
+// engine (serial — the spec baseline) against the segment engine in every
+// configuration.
 void DifferentialOnText(const std::string& rules, const std::string& db,
                         ChaseOptions options) {
   for (ChaseVariant variant : kVariants) {
     options.variant = variant;
     EngineRun trigger;
-    RunOnText(rules, db, options, ChaseEngine::kTrigger, StorageKind::kRow,
-              /*threads=*/1, &trigger);
-    for (StorageKind storage : kBackends) {
-      for (std::size_t threads : kThreadCounts) {
-        SCOPED_TRACE(ConfigName(variant, storage, threads));
-        EngineRun segment;
-        RunOnText(rules, db, options, ChaseEngine::kSegment, storage,
-                  threads, &segment);
-        ExpectIdentical(trigger, segment);
-      }
+    RunOnText(rules, db, options, ChaseEngine::kTrigger, /*threads=*/1,
+              &trigger);
+    for (std::size_t threads : kThreadCounts) {
+      SCOPED_TRACE(ConfigName(variant, threads));
+      EngineRun segment;
+      RunOnText(rules, db, options, ChaseEngine::kSegment, threads,
+                &segment);
+      ExpectIdentical(trigger, segment);
     }
   }
 }
@@ -295,16 +286,14 @@ TEST(SegmentEngineDifferentialTest, RandomizedWorkloadsAllVariants) {
                            .exec = {.max_steps = 4, .max_atoms = 4000}};
       EngineRun trigger;
       RunOnRandomWorkload(seed, spec, options, ChaseEngine::kTrigger,
-                          StorageKind::kRow, /*threads=*/1, &trigger);
-      for (StorageKind storage : kBackends) {
-        for (std::size_t threads : kThreadCounts) {
-          SCOPED_TRACE(ConfigName(variant, storage, threads) + " seed " +
-                       std::to_string(seed));
-          EngineRun segment;
-          RunOnRandomWorkload(seed, spec, options, ChaseEngine::kSegment,
-                              storage, threads, &segment);
-          ExpectIdentical(trigger, segment);
-        }
+                          /*threads=*/1, &trigger);
+      for (std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(ConfigName(variant, threads) + " seed " +
+                     std::to_string(seed));
+        EngineRun segment;
+        RunOnRandomWorkload(seed, spec, options, ChaseEngine::kSegment,
+                            threads, &segment);
+        ExpectIdentical(trigger, segment);
       }
     }
   }
@@ -326,16 +315,14 @@ TEST(SegmentEngineDifferentialTest, RandomizedForwardExistentialWorkloads) {
                            .exec = {.max_steps = 5, .max_atoms = 3000}};
       EngineRun trigger;
       RunOnRandomWorkload(seed, spec, options, ChaseEngine::kTrigger,
-                          StorageKind::kRow, /*threads=*/1, &trigger);
-      for (StorageKind storage : kBackends) {
-        for (std::size_t threads : kThreadCounts) {
-          SCOPED_TRACE(ConfigName(variant, storage, threads) + " seed " +
-                       std::to_string(seed));
-          EngineRun segment;
-          RunOnRandomWorkload(seed, spec, options, ChaseEngine::kSegment,
-                              storage, threads, &segment);
-          ExpectIdentical(trigger, segment);
-        }
+                          /*threads=*/1, &trigger);
+      for (std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(ConfigName(variant, threads) + " seed " +
+                     std::to_string(seed));
+        EngineRun segment;
+        RunOnRandomWorkload(seed, spec, options, ChaseEngine::kSegment,
+                            threads, &segment);
+        ExpectIdentical(trigger, segment);
       }
     }
   }
@@ -355,9 +342,9 @@ TEST(SegmentEngineDifferentialTest, NaiveEnumerationMatchesTriggerNaive) {
     options.naive_enumeration = true;
     EngineRun trigger, segment;
     RunOnText(rules, "E(a,b).", options, ChaseEngine::kTrigger,
-              StorageKind::kRow, /*threads=*/1, &trigger);
+              /*threads=*/1, &trigger);
     RunOnText(rules, "E(a,b).", options, ChaseEngine::kSegment,
-              StorageKind::kColumn, /*threads=*/1, &segment);
+              /*threads=*/1, &segment);
     ExpectIdentical(trigger, segment);
   }
 }

@@ -32,12 +32,10 @@ namespace {
 // Semi-oblivious everywhere: its incremental chase derives the same atom
 // set as a from-scratch chase of the union, making per-epoch answers
 // exactly reproducible by a one-shot oracle.
-ReasonerOptions TestReasonerOptions(
-    StorageKind storage = StorageKind::kRow) {
+ReasonerOptions TestReasonerOptions() {
   ReasonerOptions options;
   options.strategy = AnswerStrategy::kMaterialize;
   options.chase.variant = ChaseVariant::kSemiOblivious;
-  options.chase.exec.storage = storage;
   return options;
 }
 
@@ -312,7 +310,7 @@ TEST_F(ServerTest, OversizedFrameYieldsErrorReply) {
 // while one writer folds batches in. Every reader answer must equal the
 // one-shot oracle of the pinned epoch — whatever interleaving happens.
 
-void RunConcurrentDifferential(StorageKind storage) {
+TEST(ServeConcurrency, ReadersAgreeWithOneShotChase) {
   constexpr int kBaseEdges = 12;
   constexpr int kBatches = 4;
   constexpr int kEdgesPerBatch = 2;
@@ -338,7 +336,7 @@ void RunConcurrentDifferential(StorageKind storage) {
   {
     Instance accumulated = base;
     for (int e = 0; e <= kBatches; ++e) {
-      Reasoner oracle(accumulated, rules, TestReasonerOptions(storage));
+      Reasoner oracle(accumulated, rules, TestReasonerOptions());
       expected.push_back(Sorted(oracle.Prepare(query).All()));
       if (e < kBatches) accumulated.AddAtoms(batches[e]);
     }
@@ -346,7 +344,7 @@ void RunConcurrentDifferential(StorageKind storage) {
   // More facts must mean more answers, or the differential is vacuous.
   ASSERT_LT(expected.front().size(), expected.back().size());
 
-  SnapshotManager manager(base, rules, TestReasonerOptions(storage));
+  SnapshotManager manager(base, rules, TestReasonerOptions());
   const PreparedQuery plan = manager.reasoner().PrepareDetached(query);
 
   std::atomic<bool> stop{false};
@@ -388,14 +386,6 @@ void RunConcurrentDifferential(StorageKind storage) {
   // The snapshot pinned before any publish still answers epoch 0 exactly.
   EXPECT_EQ(early->epoch, 0u);
   EXPECT_EQ(Sorted(plan.AllOn(*early->materialization)), expected[0]);
-}
-
-TEST(ServeConcurrency, ReadersAgreeWithOneShotChaseOnRowStorage) {
-  RunConcurrentDifferential(StorageKind::kRow);
-}
-
-TEST(ServeConcurrency, ReadersAgreeWithOneShotChaseOnColumnStorage) {
-  RunConcurrentDifferential(StorageKind::kColumn);
 }
 
 // Concurrent requests through the full server path (dispatch pool, plan

@@ -3,9 +3,9 @@
 // must produce the same final atom set up to null renaming
 // (CanonicalAtoms() equality) for the oblivious and semi-oblivious
 // variants, and a hom-equivalent universal model for the restricted
-// variant — across both execution engines, both storage backends, and
-// serial/parallel execution. The flat schedule itself must remain
-// bit-identical to the default configuration.
+// variant — across both execution engines and serial/parallel execution.
+// The flat schedule itself must remain bit-identical to the default
+// configuration.
 //
 // Each run gets its own Universe built by an identical interning sequence,
 // so constants line up exactly across runs and only invented nulls (which
@@ -59,7 +59,6 @@ constexpr ChaseVariant kVariants[] = {ChaseVariant::kOblivious,
                                       ChaseVariant::kRestricted};
 constexpr ChaseEngine kEngines[] = {ChaseEngine::kTrigger,
                                     ChaseEngine::kSegment};
-constexpr StorageKind kStorages[] = {StorageKind::kRow, StorageKind::kColumn};
 constexpr std::size_t kThreadCounts[] = {1, 4};
 
 const char* VariantName(ChaseVariant v) {
@@ -87,39 +86,35 @@ void Execute(const Workload& w, ChaseOptions options, ChaseRun* run) {
   run->chase->Run();
 }
 
-TEST(StratifiedDifferentialTest, MatchesFlatAcrossEnginesStoragesThreads) {
+TEST(StratifiedDifferentialTest, MatchesFlatAcrossEnginesAndThreads) {
   for (const Workload& w : kWorkloads) {
     for (ChaseVariant variant : kVariants) {
       for (ChaseEngine engine : kEngines) {
-        for (StorageKind storage : kStorages) {
-          for (std::size_t threads : kThreadCounts) {
-            SCOPED_TRACE(std::string(w.name) + " " + VariantName(variant) +
-                         " " + ToString(engine) + " " + ToString(storage) +
-                         " threads " + std::to_string(threads));
-            ChaseOptions options{
-                .variant = variant,
-                .exec = {.engine = engine,
-                         .storage = storage,
-                         .num_threads = threads,
-                         .max_steps = 64,
-                         .max_atoms = 100000}};
-            ChaseRun flat, stratified;
-            options.exec.schedule = ChaseSchedule::kFlat;
-            Execute(w, options, &flat);
-            options.exec.schedule = ChaseSchedule::kStratified;
-            Execute(w, options, &stratified);
+        for (std::size_t threads : kThreadCounts) {
+          SCOPED_TRACE(std::string(w.name) + " " + VariantName(variant) +
+                       " " + ToString(engine) + " threads " +
+                       std::to_string(threads));
+          ChaseOptions options{.variant = variant,
+                               .exec = {.engine = engine,
+                                        .num_threads = threads,
+                                        .max_steps = 64,
+                                        .max_atoms = 100000}};
+          ChaseRun flat, stratified;
+          options.exec.schedule = ChaseSchedule::kFlat;
+          Execute(w, options, &flat);
+          options.exec.schedule = ChaseSchedule::kStratified;
+          Execute(w, options, &stratified);
 
-            ASSERT_TRUE(flat.chase->Saturated());
-            ASSERT_TRUE(stratified.chase->Saturated());
-            if (variant == ChaseVariant::kRestricted) {
-              // Firing order changes which triggers the restricted chase
-              // pre-empts, so only hom-equivalence is promised.
-              EXPECT_TRUE(HomEquivalent(flat.chase->Result(),
-                                        stratified.chase->Result()));
-            } else {
-              EXPECT_EQ(flat.chase->CanonicalAtoms(),
-                        stratified.chase->CanonicalAtoms());
-            }
+          ASSERT_TRUE(flat.chase->Saturated());
+          ASSERT_TRUE(stratified.chase->Saturated());
+          if (variant == ChaseVariant::kRestricted) {
+            // Firing order changes which triggers the restricted chase
+            // pre-empts, so only hom-equivalence is promised.
+            EXPECT_TRUE(HomEquivalent(flat.chase->Result(),
+                                      stratified.chase->Result()));
+          } else {
+            EXPECT_EQ(flat.chase->CanonicalAtoms(),
+                      stratified.chase->CanonicalAtoms());
           }
         }
       }
@@ -183,10 +178,10 @@ TEST(StratifiedDifferentialTest, NaiveEnumerationAgreesWhenStratified) {
   }
 }
 
-// Satellite: incremental insertion resume under the segment engine. After
+// Incremental insertion resume under the segment engine. After
 // saturation, AddBaseFacts must resume the chase and converge to the same
 // model (up to null renaming) as chasing the extended database from
-// scratch — under both schedules and both storage backends.
+// scratch — under both schedules.
 TEST(StratifiedDifferentialTest, SegmentEngineIncrementalResume) {
   const char* rules_text =
       "A(x,y) -> B(x,y)\n"
@@ -196,44 +191,39 @@ TEST(StratifiedDifferentialTest, SegmentEngineIncrementalResume) {
   const char* full_facts = "A(a,b). A(b,c). A(c,d). A(d,e).";
   for (ChaseSchedule schedule :
        {ChaseSchedule::kFlat, ChaseSchedule::kStratified}) {
-    for (StorageKind storage : kStorages) {
-      SCOPED_TRACE(std::string(ToString(schedule)) + " " +
-                   ToString(storage));
-      ChaseOptions options{.exec = {.engine = ChaseEngine::kSegment,
-                                    .schedule = schedule,
-                                    .storage = storage,
-                                    .max_steps = 64,
-                                    .max_atoms = 100000}};
-      ChaseRun incremental;
-      {
-        RuleSet rules =
-            MustParseRuleSet(&incremental.universe, rules_text);
-        Instance db = MustParseInstance(&incremental.universe, base_facts);
-        incremental.chase = std::make_unique<ObliviousChase>(
-            db, std::move(rules), options);
-        incremental.chase->Run();
-        ASSERT_TRUE(incremental.chase->Saturated());
-        // Interning parity with the from-scratch twin: d and e enter the
-        // universe now, via the same parse the twin performs up front.
-        Instance extra =
-            MustParseInstance(&incremental.universe, "A(c,d). A(d,e).");
-        std::vector<Atom> added(extra.atoms().begin(), extra.atoms().end());
-        EXPECT_GT(incremental.chase->AddBaseFacts(added), 0u);
-        incremental.chase->Run();
-        ASSERT_TRUE(incremental.chase->Saturated());
-      }
-      ChaseRun scratch;
-      {
-        RuleSet rules = MustParseRuleSet(&scratch.universe, rules_text);
-        Instance db = MustParseInstance(&scratch.universe, full_facts);
-        scratch.chase = std::make_unique<ObliviousChase>(
-            db, std::move(rules), options);
-        scratch.chase->Run();
-        ASSERT_TRUE(scratch.chase->Saturated());
-      }
-      EXPECT_EQ(incremental.chase->CanonicalAtoms(),
-                scratch.chase->CanonicalAtoms());
+    SCOPED_TRACE(ToString(schedule));
+    ChaseOptions options{.exec = {.engine = ChaseEngine::kSegment,
+                                  .schedule = schedule,
+                                  .max_steps = 64,
+                                  .max_atoms = 100000}};
+    ChaseRun incremental;
+    {
+      RuleSet rules = MustParseRuleSet(&incremental.universe, rules_text);
+      Instance db = MustParseInstance(&incremental.universe, base_facts);
+      incremental.chase =
+          std::make_unique<ObliviousChase>(db, std::move(rules), options);
+      incremental.chase->Run();
+      ASSERT_TRUE(incremental.chase->Saturated());
+      // Interning parity with the from-scratch twin: d and e enter the
+      // universe now, via the same parse the twin performs up front.
+      Instance extra =
+          MustParseInstance(&incremental.universe, "A(c,d). A(d,e).");
+      std::vector<Atom> added(extra.atoms().begin(), extra.atoms().end());
+      EXPECT_GT(incremental.chase->AddBaseFacts(added), 0u);
+      incremental.chase->Run();
+      ASSERT_TRUE(incremental.chase->Saturated());
     }
+    ChaseRun scratch;
+    {
+      RuleSet rules = MustParseRuleSet(&scratch.universe, rules_text);
+      Instance db = MustParseInstance(&scratch.universe, full_facts);
+      scratch.chase =
+          std::make_unique<ObliviousChase>(db, std::move(rules), options);
+      scratch.chase->Run();
+      ASSERT_TRUE(scratch.chase->Saturated());
+    }
+    EXPECT_EQ(incremental.chase->CanonicalAtoms(),
+              scratch.chase->CanonicalAtoms());
   }
 }
 

@@ -20,9 +20,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -32,23 +30,17 @@
 #include "logic/instance.h"
 #include "logic/parser.h"
 #include "logic/universe.h"
+#include "tools/cli_flags.h"
 
 namespace {
+
+using bddfc::cli::ReadFile;
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--json] [--Werror] RULES_FILE [INSTANCE_FILE]\n",
                argv0);
   return 2;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
 }
 
 }  // namespace

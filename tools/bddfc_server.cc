@@ -24,7 +24,6 @@
 //                      from-scratch chase, so per-epoch answers are
 //                      reproducible exactly)
 //   --engine=trigger|segment    chase engine (default trigger)
-//   --storage=row|column        fact-storage backend (default row)
 //   --schedule=flat|stratified  rule scheduling (default flat)
 //   --threads=N        dispatcher worker threads executing requests
 //                      (default 0 = all hardware threads; 1 = inline)
@@ -41,10 +40,7 @@
 // read, flush the trace, exit 130.
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -52,6 +48,7 @@
 #include "logic/universe.h"
 #include "obs/obs.h"
 #include "serve/server.h"
+#include "tools/cli_flags.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -61,6 +58,8 @@ namespace {
 
 using bddfc::ChaseEngine;
 using bddfc::ChaseVariant;
+using bddfc::cli::FlagValue;
+using bddfc::cli::ReadFile;
 using bddfc::serve::Server;
 using bddfc::serve::ServerOptions;
 
@@ -69,7 +68,7 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s [--port=N | --stdio]\n"
       "          [--variant=oblivious|semi|restricted]\n"
-      "          [--engine=trigger|segment] [--storage=row|column]\n"
+      "          [--engine=trigger|segment]\n"
       "          [--schedule=flat|stratified]\n"
       "          [--threads=N] [--workers=N]\n"
       "          [--max-steps=N] [--max-atoms=N]\n"
@@ -79,36 +78,7 @@ int Usage(const char* argv0) {
 }
 
 bool ParseCount(std::string_view value, const char* flag, std::size_t* out) {
-  const std::string text(value);
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr,
-                 "bddfc_server: %s needs a non-negative integer, got "
-                 "\"%s\"\n",
-                 flag, text.c_str());
-    return false;
-  }
-  *out = static_cast<std::size_t>(parsed);
-  return true;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-bool FlagValue(std::string_view arg, std::string_view name,
-               std::string_view* out) {
-  if (arg.substr(0, name.size()) != name) return false;
-  arg.remove_prefix(name.size());
-  if (arg.empty() || arg[0] != '=') return false;
-  *out = arg.substr(1);
-  return true;
+  return bddfc::cli::ParseCount(value, "bddfc_server", flag, out);
 }
 
 }  // namespace
@@ -120,7 +90,6 @@ int main(int argc, char** argv) {
   // exact one-shot answers of that epoch's base facts (the restricted
   // variant preserves certain answers but not atom identity).
   options.reasoner.chase.variant = ChaseVariant::kSemiOblivious;
-  bddfc::StorageKind storage = bddfc::StorageKind::kRow;
   bool stdio = false;
   bool quiet = false;
   int port = -1;  // -1 = not requested
@@ -170,17 +139,6 @@ int main(int argc, char** argv) {
                      static_cast<int>(value.size()), value.data());
         return Usage(argv[0]);
       }
-    } else if (FlagValue(arg, "--storage", &value)) {
-      if (value == "row") {
-        storage = bddfc::StorageKind::kRow;
-      } else if (value == "column" || value == "columnar") {
-        storage = bddfc::StorageKind::kColumn;
-      } else {
-        std::fprintf(stderr,
-                     "bddfc_server: unknown storage backend \"%.*s\"\n",
-                     static_cast<int>(value.size()), value.data());
-        return Usage(argv[0]);
-      }
     } else if (FlagValue(arg, "--threads", &value)) {
       if (!ParseCount(value, "--threads", &options.dispatch_threads)) {
         return Usage(argv[0]);
@@ -227,7 +185,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bddfc_server: --stdio and --port are exclusive\n");
     return Usage(argv[0]);
   }
-  options.reasoner.chase.exec.storage = storage;
 
   std::string rules_text, instance_text;
   if (!ReadFile(rules_path, &rules_text)) {

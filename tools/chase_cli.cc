@@ -14,11 +14,6 @@
 //                      same saturation — the chase is bit-identical
 //                      (atoms, trigger order, nulls, provenance) across
 //                      engines.
-//   --storage=row|column   fact-storage backend for the base instance and
-//                      the materialization (default row). Both backends
-//                      produce bit-identical chases and answers; column
-//                      (VLog-style columnar tables) uses O(atoms) index
-//                      memory and is built for large instances.
 //   --threads=N        execution threads; 1 = serial, 0 = all hardware
 //                      threads (default 1). Answers and the chase are
 //                      identical at any thread count.
@@ -70,11 +65,8 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -90,6 +82,7 @@
 #include "logic/universe.h"
 #include "obs/obs.h"
 #include "obs/progress.h"
+#include "tools/cli_flags.h"
 
 namespace {
 
@@ -100,6 +93,12 @@ using bddfc::ChaseOptions;
 using bddfc::ChaseVariant;
 using bddfc::JsonEscape;
 using bddfc::ReasonerOptions;
+using bddfc::cli::FlagValue;
+using bddfc::cli::ReadFile;
+
+bool ParseCount(std::string_view value, const char* flag, std::size_t* out) {
+  return bddfc::cli::ParseCount(value, "chase_cli", flag, out);
+}
 
 int Usage(const char* argv0) {
   std::fprintf(
@@ -107,46 +106,12 @@ int Usage(const char* argv0) {
       "usage: %s [--variant=oblivious|semi|restricted]\n"
       "          [--engine=trigger|segment] [--threads=N]\n"
       "          [--schedule=flat|stratified]\n"
-      "          [--storage=row|column] [--max-steps=N] [--max-atoms=N]\n"
+      "          [--max-steps=N] [--max-atoms=N]\n"
       "          [--query=FILE] [--strategy=materialize|rewrite|auto]\n"
       "          [--trace=FILE] [--progress[=MS]] [--analyze]\n"
       "          [--json] [--quiet] RULES_FILE INSTANCE_FILE\n",
       argv0);
   return 2;
-}
-
-// Parses a non-negative integer flag value; rejects junk and negatives.
-bool ParseCount(std::string_view value, const char* flag, std::size_t* out) {
-  const std::string text(value);
-  char* end = nullptr;
-  const long long parsed = std::strtoll(text.c_str(), &end, 10);
-  if (text.empty() || end == nullptr || *end != '\0' || parsed < 0) {
-    std::fprintf(stderr, "chase_cli: %s needs a non-negative integer, got "
-                 "\"%s\"\n",
-                 flag, text.c_str());
-    return false;
-  }
-  *out = static_cast<std::size_t>(parsed);
-  return true;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
-
-// Accepts "--name=VALUE"; returns the value via `out`.
-bool FlagValue(std::string_view arg, std::string_view name,
-               std::string_view* out) {
-  if (arg.substr(0, name.size()) != name) return false;
-  arg.remove_prefix(name.size());
-  if (arg.empty() || arg[0] != '=') return false;
-  *out = arg.substr(1);
-  return true;
 }
 
 const char* VariantName(ChaseVariant v) {
@@ -194,7 +159,6 @@ struct QueryReport {
 int main(int argc, char** argv) {
   ChaseOptions chase_options;
   AnswerStrategy strategy = AnswerStrategy::kAuto;
-  bddfc::StorageKind storage = bddfc::StorageKind::kRow;
   bool quiet = false;
   bool json = false;
   bool analyze = false;
@@ -233,16 +197,6 @@ int main(int argc, char** argv) {
         chase_options.exec.schedule = bddfc::ChaseSchedule::kStratified;
       } else {
         std::fprintf(stderr, "chase_cli: unknown schedule \"%.*s\"\n",
-                     static_cast<int>(value.size()), value.data());
-        return Usage(argv[0]);
-      }
-    } else if (FlagValue(arg, "--storage", &value)) {
-      if (value == "row") {
-        storage = bddfc::StorageKind::kRow;
-      } else if (value == "column" || value == "columnar") {
-        storage = bddfc::StorageKind::kColumn;
-      } else {
-        std::fprintf(stderr, "chase_cli: unknown storage backend \"%.*s\"\n",
                      static_cast<int>(value.size()), value.data());
         return Usage(argv[0]);
       }
@@ -384,7 +338,7 @@ int main(int argc, char** argv) {
   }
 
   // The trace session opens before the Reasoner is built so the base
-  // instance's storage spans (index builds, run seals) are captured too.
+  // instance's storage spans (run seals and merges) are captured too.
   if (!trace_path.empty()) bddfc::obs::TraceSession::Global().Start();
   // SIGINT requests cooperative cancellation (the shared tool discipline,
   // obs::InstallSigintCancel), observed by the chase at the next firing
@@ -392,7 +346,6 @@ int main(int argc, char** argv) {
   bddfc::obs::InstallSigintCancel();
 
   // Everything execution-related travels through the one ExecutionConfig.
-  chase_options.exec.storage = storage;
   ReasonerOptions reasoner_options;
   reasoner_options.strategy = strategy;
   reasoner_options.chase = chase_options;
@@ -455,12 +408,9 @@ int main(int argc, char** argv) {
                  "chase_cli: interrupted — partial results follow\n");
   }
   const bddfc::ReasonerStats& stats = reasoner.stats();
-  // The Reasoner constructor freezes the fully-resolved execution config
-  // (engine, schedule, storage, thread count) into its options; report
-  // those, not the raw flag values.
+  // The Reasoner constructor freezes the resolved thread count into its
+  // options; report those, not the raw flag values.
   const bddfc::ExecutionConfig& resolved_exec = reasoner.options().chase.exec;
-  const bddfc::StorageKind resolved_storage =
-      resolved_exec.storage.value_or(storage);
   const bddfc::ObliviousChase* chase = reasoner.materialization();
   const bddfc::RuleSchedulerStats* sched_stats =
       chase != nullptr ? &chase->scheduler().stats() : nullptr;
@@ -482,7 +432,6 @@ int main(int argc, char** argv) {
     std::printf("  \"schedule\": \"%s\",\n",
                 bddfc::ToString(resolved_exec.schedule));
     std::printf("  \"strategy\": \"%s\",\n", bddfc::ToString(strategy));
-    std::printf("  \"storage\": \"%s\",\n", bddfc::ToString(resolved_storage));
     std::printf("  \"threads\": %zu,\n", reasoner.num_threads());
     std::printf("  \"max_steps\": %zu,\n", chase_options.exec.max_steps);
     std::printf("  \"max_atoms\": %zu,\n", chase_options.exec.max_atoms);
@@ -570,12 +519,11 @@ int main(int argc, char** argv) {
               reasoner.rules().size());
   std::printf("instance: %s (%zu atoms incl. the implicit top fact)\n",
               instance_path.c_str(), reasoner.database().size());
-  std::printf("variant:  %s, engine: %s, schedule: %s, storage: %s, "
+  std::printf("variant:  %s, engine: %s, schedule: %s, "
               "threads: %zu, max steps: %zu, max atoms: %zu\n",
               VariantName(chase_options.variant),
               bddfc::ToString(resolved_exec.engine),
-              bddfc::ToString(resolved_exec.schedule),
-              bddfc::ToString(resolved_storage), reasoner.num_threads(),
+              bddfc::ToString(resolved_exec.schedule), reasoner.num_threads(),
               resolved_exec.max_steps, resolved_exec.max_atoms);
 
   if (stats.materialized) {

@@ -19,9 +19,7 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "base/table_printer.h"
@@ -31,18 +29,12 @@
 #include "logic/parser.h"
 #include "logic/printer.h"
 #include "rewriting/rewriter.h"
+#include "tools/cli_flags.h"
 
 namespace {
 
 using namespace bddfc;
-
-std::optional<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using cli::ReadFile;
 
 struct Flags {
   std::size_t steps = 6;
@@ -65,10 +57,13 @@ Flags ParseFlags(int argc, char** argv, int first) {
       }
       return argv[++i];
     };
-    if (arg == "--steps") {
-      if (const char* v = next()) flags.steps = std::stoul(v);
-    } else if (arg == "--depth") {
-      if (const char* v = next()) flags.depth = std::stoul(v);
+    if (arg == "--steps" || arg == "--depth") {
+      std::size_t* count = arg == "--steps" ? &flags.steps : &flags.depth;
+      const char* v = next();
+      if (v != nullptr &&
+          !cli::ParseCount(v, "nocliques", arg.c_str(), count)) {
+        flags.ok = false;
+      }
     } else if (arg == "--e") {
       if (const char* v = next()) flags.e = v;
     } else if (arg == "--variant") {
@@ -84,13 +79,13 @@ Flags ParseFlags(int argc, char** argv, int first) {
 }
 
 std::optional<RuleSet> LoadRules(Universe* u, const std::string& path) {
-  auto text = ReadFile(path);
-  if (!text) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
     std::fprintf(stderr, "cannot read rules file: %s\n", path.c_str());
     return std::nullopt;
   }
   ParseError error;
-  auto rules = ParseRuleSet(u, *text, &error);
+  auto rules = ParseRuleSet(u, text, &error);
   if (!rules) {
     std::fprintf(stderr, "%s:%d: %s\n", path.c_str(), error.line,
                  error.message.c_str());
@@ -100,13 +95,13 @@ std::optional<RuleSet> LoadRules(Universe* u, const std::string& path) {
 }
 
 std::optional<Instance> LoadInstance(Universe* u, const std::string& path) {
-  auto text = ReadFile(path);
-  if (!text) {
+  std::string text;
+  if (!ReadFile(path, &text)) {
     std::fprintf(stderr, "cannot read database file: %s\n", path.c_str());
     return std::nullopt;
   }
   ParseError error;
-  auto db = ParseInstance(u, *text, &error);
+  auto db = ParseInstance(u, text, &error);
   if (!db) {
     std::fprintf(stderr, "%s:%d: %s\n", path.c_str(), error.line,
                  error.message.c_str());
