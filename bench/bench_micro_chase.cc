@@ -1,9 +1,9 @@
 // Microbenchmarks: chase engine hot paths (shared harness).
 //
 // Every trigger-enumeration case runs in two modes so the JSON trajectory
-// exposes the semi-naive speedup: mode 0 is the default delta-driven
-// enumerator, mode 1 the naive_enumeration escape hatch (full re-search per
-// step). Case names end in /<size>/<mode>.
+// exposes the semi-naive speedup: mode 0 is the delta-driven segment
+// engine, mode 1 the naive_enumeration oracle (full re-search per step).
+// Case names end in /<size>/<mode>.
 
 #include "bench/harness.h"
 

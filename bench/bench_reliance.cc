@@ -1,5 +1,5 @@
 // Reliance-driven scheduling: flat vs stratified rule schedules on a
-// multi-stratum workload, on both execution engines.
+// multi-stratum workload.
 //
 // The workload is G disconnected rule groups, each a chain of K layers:
 // layer l of a group copies its edge relation into the next layer
@@ -85,15 +85,14 @@ struct RunResult {
 };
 
 void RunOnce(const std::string& rules_text, const std::string& facts_text,
-             ChaseEngine engine, ChaseSchedule schedule, RunResult* out) {
+             ChaseSchedule schedule, RunResult* out) {
   auto u = std::make_unique<Universe>();
   RuleSet rules = MustParseRuleSet(u.get(), rules_text);
   Instance db = MustParseInstance(u.get(), facts_text);
   const auto start = std::chrono::steady_clock::now();
   auto chase = std::make_unique<ObliviousChase>(
       db, std::move(rules),
-      ChaseOptions{.exec = {.engine = engine,
-                            .schedule = schedule,
+      ChaseOptions{.exec = {.schedule = schedule,
                             .num_threads = bench::Threads(),
                             .max_steps = 4096,
                             .max_atoms = 4000000}});
@@ -118,46 +117,41 @@ BDDFC_BENCH_EXPERIMENT(reliance) {
   const std::string rules_text = WorkloadRules();
   const std::string facts_text = WorkloadFacts();
 
-  TablePrinter table({"engine", "schedule", "steps", "atoms", "triggers",
-                      "rule searches skipped", "ms"});
-  for (ChaseEngine engine : {ChaseEngine::kTrigger, ChaseEngine::kSegment}) {
-    RunResult flat, stratified;
-    for (int rep = 0; rep < kReps; ++rep) {
-      RunOnce(rules_text, facts_text, engine, ChaseSchedule::kFlat, &flat);
-      RunOnce(rules_text, facts_text, engine, ChaseSchedule::kStratified,
-              &stratified);
-    }
-
-    // Differential guarantees, enforced in-process: the stratified run
-    // must skip work and reproduce the flat result exactly (Datalog: no
-    // nulls, so canonical equality is set equality).
-    const std::size_t skipped =
-        stratified.chase->scheduler().stats().skipped_total();
-    BDDFC_CHECK(skipped > 0);
-    BDDFC_CHECK(stratified.chase->scheduler().stats().fired_total() ==
-                stratified.chase->TriggersFired());
-    BDDFC_CHECK(stratified.chase->CanonicalAtoms() ==
-                flat.chase->CanonicalAtoms());
-
-    for (const RunResult* run : {&flat, &stratified}) {
-      const ObliviousChase& chase = *run->chase;
-      const bool is_flat = run == &flat;
-      const char* schedule = is_flat ? "flat" : "stratified";
-      table.AddRow({ToString(engine), schedule,
-                    std::to_string(chase.StepsExecuted()),
-                    std::to_string(chase.Result().size()),
-                    std::to_string(chase.TriggersFired()),
-                    std::to_string(is_flat ? 0 : skipped),
-                    std::to_string(run->min_ms)});
-      const std::string key = std::string(ToString(engine)) + "/" + schedule;
-      ctx.Metric(key + "/ms", run->min_ms);
-      ctx.Metric(key + "/atoms", static_cast<double>(chase.Result().size()));
-      ctx.Metric(key + "/skipped",
-                 static_cast<double>(is_flat ? 0 : skipped));
-    }
-    ctx.Metric(std::string(ToString(engine)) + "/stratified/speedup_vs_flat",
-               flat.min_ms / stratified.min_ms);
+  RunResult flat, stratified;
+  for (int rep = 0; rep < kReps; ++rep) {
+    RunOnce(rules_text, facts_text, ChaseSchedule::kFlat, &flat);
+    RunOnce(rules_text, facts_text, ChaseSchedule::kStratified, &stratified);
   }
+
+  // Differential guarantees, enforced in-process: the stratified run must
+  // skip work and reproduce the flat result exactly (Datalog: no nulls,
+  // so canonical equality is set equality).
+  const std::size_t skipped =
+      stratified.chase->scheduler().stats().skipped_total();
+  BDDFC_CHECK(skipped > 0);
+  BDDFC_CHECK(stratified.chase->scheduler().stats().fired_total() ==
+              stratified.chase->TriggersFired());
+  BDDFC_CHECK(stratified.chase->CanonicalAtoms() ==
+              flat.chase->CanonicalAtoms());
+
+  TablePrinter table({"schedule", "steps", "atoms", "triggers",
+                      "rule searches skipped", "ms"});
+  for (const RunResult* run : {&flat, &stratified}) {
+    const ObliviousChase& chase = *run->chase;
+    const bool is_flat = run == &flat;
+    const std::string schedule = is_flat ? "flat" : "stratified";
+    table.AddRow({schedule, std::to_string(chase.StepsExecuted()),
+                  std::to_string(chase.Result().size()),
+                  std::to_string(chase.TriggersFired()),
+                  std::to_string(is_flat ? 0 : skipped),
+                  std::to_string(run->min_ms)});
+    ctx.Metric(schedule + "/ms", run->min_ms);
+    ctx.Metric(schedule + "/atoms",
+               static_cast<double>(chase.Result().size()));
+    ctx.Metric(schedule + "/skipped",
+               static_cast<double>(is_flat ? 0 : skipped));
+  }
+  ctx.Metric("stratified/speedup_vs_flat", flat.min_ms / stratified.min_ms);
   table.Print();
   return 0;
 }

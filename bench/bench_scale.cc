@@ -3,11 +3,11 @@
 // experiments use. Gives the systems-level context for the bounded chase
 // substitution documented in DESIGN.md §4.
 //
-// Every point runs the default delta-driven (semi-naive) trigger enumerator;
-// points up to a per-family cutoff also run the naive full re-enumeration
-// escape hatch so the table and the JSON metrics carry the speedup. The
-// largest scale points are ≥10× the pre-semi-naive sizes and are only
-// tractable with the delta engine.
+// Every point runs the chase's delta-driven (semi-naive) segment engine;
+// points up to a per-family cutoff also run the naive_enumeration oracle
+// (serial full re-enumeration) so the table and the JSON metrics carry the
+// speedup. The largest scale points are ≥10× the pre-semi-naive sizes and
+// are only tractable with the delta engine.
 //
 // All chase runs honor --threads (ChaseOptions::num_threads via
 // bench::Threads()); the JSON header records the thread count, so a
@@ -60,8 +60,8 @@ BDDFC_BENCH_EXPERIMENT(scale) {
     };
     for (const Family& f : families) {
       for (std::size_t steps : f.steps) {
-        // Timed delta-driven run (the default engine), kept alive for the
-        // loop-query timing below.
+        // Timed delta-driven run, kept alive for the loop-query timing
+        // below.
         Universe u;
         RuleSet rules = MustParseRuleSet(&u, f.rules);
         Instance db = MustParseInstance(&u, "E(a,b).");

@@ -1,40 +1,36 @@
-// bench_segment: the trigger-at-a-time and segment-at-a-time chase engines
-// head to head on the two workload shapes that bracket the join spectrum.
+// bench_segment: the chase's segment engine on the two workload shapes
+// that bracket the join spectrum.
 //
 //   * chain — bounded transitive closure over a 30k-node path
-//             (E(x,y), E(y,z) -> E(x,z), 3 steps, ~10^6 derived atoms):
-//             long chains of distinct join keys, the regime where the
-//             segment engine's merge joins over sorted runs amortize the
-//             per-trigger point lookups the trigger engine pays.
-//   * wide  — one semi-naive join step over a wide binary EDB
+//             (E(x,y), E(y,z) -> E(x,z), 3 steps, ~2.4*10^5 atoms):
+//             long chains of distinct join keys, where merge joins over
+//             the store's sorted runs replace per-trigger point lookups.
+//   * wide  — one join step over a wide binary EDB
 //             (R(x,y), S(y,z) -> T(x,z), ~10^6 base facts): a single
-//             rule/step pair producing one large candidate segment.
+//             rule/step pair producing one large candidate segment, whose
+//             anchor scan the chunked fan-out splits across the pool.
 //
-// Per point, BENCH_bench_segment.json carries <point>/trigger_ms,
-// <point>/segment_ms, <point>/atoms, and <point>/segment_over_trigger.
-// Both engines must land on the exact same atom count (CHECKed — the
-// bit-identical guarantee, at scale). The store's sealed sorted runs are
-// the segment engine's native input.
+// Per point, BENCH_bench_segment.json carries <point>/chase_ms and
+// <point>/atoms. Every thread count must land on the exact same atom count
+// (the bit-identical guarantee, at scale): run it at --threads 1 and 4 and
+// compare.
 //
-//   ./bench_segment --repetitions 1 --json=BENCH_segment.json
+//   ./bench_segment --repetitions 1 --threads 4 --json=BENCH_segment.json
 
 #include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "base/check.h"
 #include "base/rng.h"
 #include "bench/harness.h"
 #include "chase/chase.h"
-#include "exec/execution_config.h"
 #include "logic/instance.h"
 #include "logic/rule.h"
 
 namespace {
 
 using bddfc::Atom;
-using bddfc::ChaseEngine;
 using bddfc::ChaseOptions;
 using bddfc::Instance;
 using bddfc::PredicateId;
@@ -50,7 +46,7 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// One benchmark point: a database + rules + bounds, chased once per engine.
+// One benchmark point: a database + rules + bounds.
 struct Workload {
   const char* name;
   Universe universe;
@@ -61,7 +57,8 @@ struct Workload {
 };
 
 // Bounded transitive closure over a long path: step k joins paths of
-// length <= 2^(k-1), so three steps over 30k edges derive ~10^6 atoms.
+// length <= 2^(k-1), so three steps over 30k edges end at all ~2.4*10^5
+// paths of length <= 8.
 void BuildChain(Workload* w) {
   w->name = "chain";
   Universe& u = w->universe;
@@ -123,10 +120,8 @@ void BuildWide(Workload* w) {
   w->max_steps = 1;
 }
 
-std::size_t TimeChase(const Workload& w, ChaseEngine engine,
-                      double* chase_ms) {
+std::size_t TimeChase(const Workload& w, double* chase_ms) {
   ChaseOptions options;
-  options.exec.engine = engine;
   options.exec.max_steps = w.max_steps;
   options.exec.max_atoms = w.max_atoms;
   options.exec.num_threads = bddfc::bench::Threads();
@@ -139,8 +134,6 @@ std::size_t TimeChase(const Workload& w, ChaseEngine engine,
 }  // namespace
 
 BDDFC_BENCH_EXPERIMENT(segment) {
-  constexpr ChaseEngine kEngines[] = {ChaseEngine::kTrigger,
-                                      ChaseEngine::kSegment};
   void (*builders[])(Workload*) = {BuildChain, BuildWide};
 
   for (auto* build : builders) {
@@ -148,25 +141,11 @@ BDDFC_BENCH_EXPERIMENT(segment) {
     build(&w);
     std::printf("  %-5s  %zu base facts, %zu rule(s), %zu step(s)\n", w.name,
                 w.database.size(), w.rules.size(), w.max_steps);
-    double ms[2] = {0, 0};
-    std::size_t atoms[2] = {0, 0};
-    for (int e = 0; e < 2; ++e) {
-      atoms[e] = TimeChase(w, kEngines[e], &ms[e]);
-      const std::string prefix =
-          std::string(w.name) + "/" + bddfc::ToString(kEngines[e]);
-      ctx.Metric(prefix + "_ms", ms[e]);
-      std::printf("  %-5s  %-7s  %8.1f ms  (%zu atoms)\n", w.name,
-                  bddfc::ToString(kEngines[e]), ms[e], atoms[e]);
-    }
-    // The bit-identical guarantee, observed at scale.
-    BDDFC_CHECK_EQ(atoms[0], atoms[1]);
-    ctx.Metric(std::string(w.name) + "/atoms",
-               static_cast<double>(atoms[0]));
-    if (ms[0] > 0) {
-      ctx.Metric(std::string(w.name) + "/segment_over_trigger",
-                 ms[1] / ms[0]);
-      std::printf("  %-5s  segment/trigger: %.2fx\n", w.name, ms[1] / ms[0]);
-    }
+    double ms = 0;
+    const std::size_t atoms = TimeChase(w, &ms);
+    ctx.Metric(std::string(w.name) + "/chase_ms", ms);
+    ctx.Metric(std::string(w.name) + "/atoms", static_cast<double>(atoms));
+    std::printf("  %-5s  %8.1f ms  (%zu atoms)\n", w.name, ms, atoms);
   }
   return 0;
 }

@@ -1,5 +1,5 @@
 // Unified query-answering facade over the two pipelines the paper studies:
-// materialize-with-the-chase-then-evaluate (src/chase + src/exec +
+// materialize-with-the-chase-then-evaluate (src/chase +
 // src/homomorphism) and rewrite-into-a-UCQ-then-evaluate (src/rewriting).
 //
 // A Reasoner is a session over one rule set and one growing base instance.
@@ -88,7 +88,7 @@ const char* ToString(StrategyDecision decision);
 
 /// Session-wide configuration.
 ///
-/// Execution knobs (engine, schedule, threads, bounds) live in
+/// Execution knobs (schedule, threads, bounds) live in
 /// `chase.exec` (ExecutionConfig) and govern the whole session: the chase
 /// materialization and prepared-query evaluation share one configuration
 /// and one thread pool. `chase.exec.num_threads` is plumbed both into the
@@ -96,7 +96,7 @@ const char* ToString(StrategyDecision decision);
 /// over the session pool); answers are identical at any thread count.
 struct ReasonerOptions {
   AnswerStrategy strategy = AnswerStrategy::kAuto;
-  /// Chase variant, engine and bounds for the kMaterialize path (see
+  /// Chase variant, schedule and bounds for the kMaterialize path (see
   /// ChaseOptions::exec for the unified execution configuration).
   ChaseOptions chase;
   /// Rewriting bounds for the explicit kRewrite strategy. The facade trims

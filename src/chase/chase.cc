@@ -9,11 +9,20 @@
 #include "base/thread_pool.h"
 #include "chase/rule_scheduler.h"
 #include "chase/segment_engine.h"
-#include "exec/parallel_chase.h"
 #include "homomorphism/homomorphism.h"
 #include "obs/obs.h"
 
 namespace bddfc {
+
+const char* ToString(ChaseSchedule schedule) {
+  switch (schedule) {
+    case ChaseSchedule::kFlat:
+      return "flat";
+    case ChaseSchedule::kStratified:
+      return "stratified";
+  }
+  return "?";
+}
 
 std::size_t ObliviousChase::TriggerKeyHash::operator()(
     const TriggerKey& k) const {
@@ -30,13 +39,15 @@ ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
   atoms_at_step_.push_back(instance_.size());
   atom_step_.assign(instance_.size(), 0);
   atom_provenance_.assign(instance_.size(), AtomProvenance{});
-  rule_searches_.reserve(rules_.size());
-  for (const Rule& rule : rules_) {
-    rule_searches_.emplace_back(rule.body(), &instance_);
+  if (options_.naive_enumeration) {
+    rule_searches_.reserve(rules_.size());
+    for (const Rule& rule : rules_) {
+      rule_searches_.emplace_back(rule.body(), &instance_);
+    }
   }
   // Frontier-variable positions: the restricted head check seeds from them
-  // and the segment engine's semi-oblivious trigger identity projects
-  // through them. Cheap enough to build unconditionally.
+  // and the semi-oblivious trigger identity projects through them. Cheap
+  // enough to build unconditionally.
   frontier_positions_.reserve(rules_.size());
   for (const Rule& rule : rules_) {
     std::vector<std::size_t> positions;
@@ -56,20 +67,18 @@ ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
       head_searches_.emplace_back(rule.head(), &instance_);
     }
   }
-  if (options_.exec.pool != nullptr) {
-    num_threads_ = options_.exec.pool->num_workers() + 1;
-    if (num_threads_ > 1) {
-      parallel_ = std::make_unique<exec::ParallelChase>(options_.exec.pool);
-    }
-  } else {
-    num_threads_ = ThreadPool::ResolveThreadCount(options_.exec.num_threads);
-    if (num_threads_ > 1) {
-      parallel_ = std::make_unique<exec::ParallelChase>(num_threads_);
+  pool_ = options_.exec.pool;
+  if (pool_ == nullptr) {
+    const std::size_t threads =
+        ThreadPool::ResolveThreadCount(options_.exec.num_threads);
+    if (threads > 1) {
+      owned_pool_ = std::make_unique<ThreadPool>(threads - 1);
+      pool_ = owned_pool_.get();
     }
   }
-  if (options_.exec.engine == ChaseEngine::kSegment) {
-    segment_ = std::make_unique<SegmentEngine>(&instance_, &rules_);
-  }
+  if (pool_ != nullptr) num_threads_ = pool_->num_workers() + 1;
+  if (num_threads_ == 1) pool_ = nullptr;
+  segment_ = std::make_unique<SegmentEngine>(&instance_, &rules_);
   if (options_.exec.schedule == ChaseSchedule::kStratified) {
     scheduler_ = RuleScheduler::Stratified(rules_, universe(),
                                            options_.naive_enumeration);
@@ -90,8 +99,23 @@ std::size_t ObliviousChase::TriggersFired() const {
 
 ObliviousChase::~ObliviousChase() = default;
 
-bool ObliviousChase::HeadSatisfied(
-    const exec::TriggerCandidate& candidate) const {
+ObliviousChase::TriggerKey ObliviousChase::IdentityOf(
+    const TriggerCandidate& candidate) const {
+  TriggerKey key{candidate.rule_index, {}};
+  if (options_.variant == ChaseVariant::kSemiOblivious) {
+    const std::vector<std::size_t>& positions =
+        frontier_positions_[candidate.rule_index];
+    key.second.reserve(positions.size());
+    for (std::size_t p : positions) {
+      key.second.push_back(candidate.body_image[p]);
+    }
+  } else {
+    key.second = candidate.body_image;
+  }
+  return key;
+}
+
+bool ObliviousChase::HeadSatisfied(const TriggerCandidate& candidate) const {
   const Rule& rule = rules_[candidate.rule_index];
   Substitution frontier_seed;
   const std::vector<std::size_t>& positions =
@@ -105,21 +129,19 @@ bool ObliviousChase::HeadSatisfied(
 
 ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   // Phase 1 — enumerate the triggers that became available last step and
-  // have not fired. After the first step the delta-driven (semi-naive)
-  // enumerator only searches for body images anchored in the atoms the
-  // previous step appended: a trigger is new on Ch_n precisely when at least
-  // one of its body atoms maps into the delta [count(n-1), count(n)), so
-  // nothing is missed and nothing old is re-derived. With naive_enumeration
-  // every homomorphism is re-enumerated and filtered against fired_; both
-  // paths collect the same candidate set. With num_threads > 1 the same
-  // enumeration fans out over the executor's pool — the instance and the
-  // fired_ set are read-only until the firing phase, and the canonical sort
-  // below erases the nondeterministic batch order.
-  using exec::TriggerCandidate;
+  // have not fired. After the first step the segment engine only searches
+  // for body images anchored in the atoms the previous step appended: a
+  // trigger is new on Ch_n precisely when at least one of its body atoms
+  // maps into the delta [count(n-1), count(n)), so nothing is missed and
+  // nothing old is re-derived. With num_threads > 1 the plans' anchor
+  // scans fan out over the pool — the instance and the fired_ ledger are
+  // read-only until the firing phase, and the canonical sort below erases
+  // the nondeterministic batch order. The naive_enumeration oracle instead
+  // re-enumerates every homomorphism serially and lets the ledger filter
+  // the old ones; both collect the same candidate set.
   BDDFC_OBS_SPAN(step_span, "chase", "chase.step");
   step_span.Arg("step", steps_executed_ + 1);
   std::vector<TriggerCandidate> candidates;
-  const bool semi = options_.variant == ChaseVariant::kSemiOblivious;
   const bool delta_mode = !options_.naive_enumeration && steps_executed_ > 0;
   const std::uint32_t delta_begin =
       delta_mode
@@ -131,95 +153,56 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   // window: the flat schedule hands every rule the global window computed
   // above (bit-identical to the pre-scheduler loop); the stratified one
   // plans only the active strata's rules, each at its own delta cursor.
-  const std::vector<exec::RuleJob> jobs =
+  const std::vector<RuleJob> jobs =
       scheduler_->PlanRound(!delta_mode, delta_begin, instance_);
-  // Trigger identity: full body image for the oblivious/restricted
-  // chases, frontier image only for the semi-oblivious (skolem) one.
-  const auto collect = [&](std::size_t r, const Substitution& h,
-                           std::vector<TriggerCandidate>* batch) {
-    const Rule& rule = rules_[r];
-    const std::vector<Term>& id_vars =
-        semi ? rule.frontier() : rule.body_vars();
-    TriggerKey probe{r, {}};
-    probe.second.reserve(id_vars.size());
-    for (Term v : id_vars) probe.second.push_back(h.Apply(v));
-    if (fired_.find(probe) != fired_.end()) return;
-    TriggerCandidate c{r, {}};
-    c.body_image.reserve(rule.body_vars().size());
-    for (Term v : rule.body_vars()) c.body_image.push_back(h.Apply(v));
-    batch->push_back(std::move(c));
+  // The ledger probe; it runs on the pool workers while fired_ is frozen.
+  // The firing loop below re-checks every key, so the probe only spares
+  // the sort and the loop the candidates that fired in earlier steps
+  // (semi-oblivious repeats of a frontier image, the naive oracle's
+  // re-enumeration, a delta re-armed by AddBaseFacts).
+  const auto keep = [this](const TriggerCandidate& c) {
+    return fired_.find(IdentityOf(c)) == fired_.end();
   };
   BDDFC_OBS_SPAN(enumerate_span, "chase", "chase.enumerate");
-  if (segment_ != nullptr) {
-    // Segment-at-a-time enumeration: one bulk merge-join plan execution
-    // per (rule, anchor) yields the step's whole candidate segment, which
-    // is then filtered against the fired ledger — the same candidate set
-    // the trigger-at-a-time paths below collect, so the firing phase (and
-    // hence the whole chase) is bit-identical across engines. Note the
-    // engine is inherently delta-driven; naive_enumeration degrades it to
-    // a full [0, size) enumeration via a `full` job, matching the naive
-    // trigger engine's re-enumerate-and-filter semantics.
-    std::vector<TriggerCandidate> raw;
-    segment_->CollectJobs(jobs, delta_end,
-                          parallel_ != nullptr ? parallel_->pool() : nullptr,
-                          &raw);
-    candidates.reserve(raw.size());
-    for (TriggerCandidate& c : raw) {
-      TriggerKey probe{c.rule_index, {}};
-      if (semi) {
-        const std::vector<std::size_t>& positions =
-            frontier_positions_[c.rule_index];
-        probe.second.reserve(positions.size());
-        for (std::size_t p : positions) {
-          probe.second.push_back(c.body_image[p]);
+  if (options_.naive_enumeration) {
+    for (const RuleJob& job : jobs) {
+      BDDFC_CHECK(job.full);
+      const std::vector<Term>& vars = rules_[job.rule_index].body_vars();
+      // One scratch candidate per job: old triggers allocate nothing.
+      TriggerCandidate c{job.rule_index, std::vector<Term>(vars.size())};
+      rule_searches_[job.rule_index].ForEach({}, [&](const Substitution& h) {
+        for (std::size_t i = 0; i < vars.size(); ++i) {
+          c.body_image[i] = h.Apply(vars[i]);
         }
-      } else {
-        probe.second = c.body_image;
-      }
-      if (fired_.find(probe) != fired_.end()) continue;
-      candidates.push_back(std::move(c));
-    }
-  } else if (parallel_ != nullptr) {
-    parallel_->CollectJobs(&rule_searches_, jobs, delta_end, collect,
-                           &candidates);
-  } else {
-    for (const exec::RuleJob& job : jobs) {
-      const std::size_t r = job.rule_index;
-      BDDFC_OBS_SPAN(search_span, "chase", "chase.hom_search");
-      search_span.Arg("rule", r);
-      const auto visit = [&](const Substitution& h) {
-        collect(r, h, &candidates);
+        if (keep(c)) candidates.push_back(c);
         return true;
-      };
-      if (job.full) {
-        rule_searches_[r].ForEach({}, visit);
-      } else {
-        rule_searches_[r].ForEachDelta({}, job.delta_begin, delta_end,
-                                       visit);
-      }
+      });
     }
+  } else {
+    segment_->CollectJobs(jobs, delta_end, pool_, keep, &candidates);
   }
   enumerate_span.Arg("candidates", candidates.size()).End();
 
   // Phase 2 — canonical firing order. Sorting by (rule, body image) makes
-  // the step independent of enumeration order, so the naive, semi-naive
-  // and parallel engines produce bit-identical instances, null names and
-  // provenance. The stratified schedule refines the order with the
-  // restraint-topological firing rank: restrainers fire first, so the
-  // restricted variant sees alternative head matches in time to skip the
-  // triggers they pre-empt (still deterministic — rank, then the
-  // canonical key).
+  // the step independent of enumeration order, so the naive oracle and
+  // the serial and pooled enumerations produce bit-identical instances,
+  // null names and provenance. The stratified schedule refines the order
+  // with the restraint-topological firing rank: restrainers fire first,
+  // so the restricted variant sees alternative head matches in time to
+  // skip the triggers they pre-empt (still deterministic — rank, then the
+  // canonical key). Candidates comparing equal are identical, so sorting
+  // on the pool lands on the serial order.
   const std::vector<std::size_t>* ranks = scheduler_->FiringRanks();
   if (ranks == nullptr) {
-    exec::SortCanonical(&candidates);
+    SortCanonical(pool_, &candidates);
   } else {
-    std::sort(candidates.begin(), candidates.end(),
-              [&](const TriggerCandidate& a, const TriggerCandidate& b) {
-                if ((*ranks)[a.rule_index] != (*ranks)[b.rule_index]) {
-                  return (*ranks)[a.rule_index] < (*ranks)[b.rule_index];
-                }
-                return exec::CanonicalTriggerLess(a, b);
-              });
+    ParallelSort(pool_, &candidates,
+                 [ranks](const TriggerCandidate& a, const TriggerCandidate& b) {
+                   if ((*ranks)[a.rule_index] != (*ranks)[b.rule_index]) {
+                     return (*ranks)[a.rule_index] < (*ranks)[b.rule_index];
+                   }
+                   return CanonicalTriggerLess(a, b);
+                 });
   }
 
   // Restricted precheck: satisfaction is monotone (the instance only
@@ -228,12 +211,17 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   // firing loop trusts positive prechecks and re-checks negatives only
   // once the step has added atoms.
   std::vector<char> satisfied_at_start;
-  if (parallel_ != nullptr &&
-      options_.variant == ChaseVariant::kRestricted && !candidates.empty()) {
-    parallel_->ParallelCheck(
-        candidates,
-        [this](const TriggerCandidate& c) { return HeadSatisfied(c); },
-        &satisfied_at_start);
+  if (pool_ != nullptr && options_.variant == ChaseVariant::kRestricted &&
+      !candidates.empty()) {
+    BDDFC_OBS_SPAN(check_span, "chase", "chase.precheck");
+    check_span.Arg("candidates", candidates.size());
+    satisfied_at_start.assign(candidates.size(), 0);
+    ParallelFor(pool_, 0, candidates.size(), /*grain=*/8,
+                [&](std::size_t lo, std::size_t hi) {
+                  for (std::size_t i = lo; i < hi; ++i) {
+                    satisfied_at_start[i] = HeadSatisfied(candidates[i]);
+                  }
+                });
   }
   const std::size_t step_start_size = instance_.size();
 
@@ -241,6 +229,11 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   BDDFC_OBS_SPAN(fire_span, "chase", "chase.fire");
   std::size_t fired_this_step = 0;
   std::vector<std::size_t> round_fired(rules_.size(), 0);
+  // When the step may outgrow the ledger's buckets, rehash once up front
+  // instead of through a cascade inside the loop. (Reserving otherwise
+  // would shrink an oversized table, so the call is guarded.)
+  const std::size_t ledger_bound = fired_.size() + candidates.size();
+  if (ledger_bound > fired_.bucket_count()) fired_.reserve(ledger_bound);
   for (std::size_t ci = 0; ci < candidates.size(); ++ci) {
     const TriggerCandidate& candidate = candidates[ci];
     if (instance_.size() >= options_.exec.max_atoms) {
@@ -255,20 +248,10 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
       outcome.truncated = true;
       break;
     }
-    const Rule& rule = rules_[candidate.rule_index];
-    Substitution h;
-    for (std::size_t i = 0; i < rule.body_vars().size(); ++i) {
-      h.Bind(rule.body_vars()[i], candidate.body_image[i]);
-    }
-    TriggerKey key{candidate.rule_index, {}};
-    const std::vector<Term>& id_vars =
-        semi ? rule.frontier() : rule.body_vars();
-    key.second.reserve(id_vars.size());
-    for (Term v : id_vars) key.second.push_back(h.Apply(v));
     // Claims the key: duplicates within the step (possible under the
     // semi-oblivious identity) are skipped, keeping the canonically
     // smallest trigger as the representative.
-    if (!fired_.insert(std::move(key)).second) continue;
+    if (!fired_.insert(IdentityOf(candidate)).second) continue;
 
     if (options_.variant == ChaseVariant::kRestricted) {
       // Fire only if no extension of h already satisfies the head. The
@@ -286,7 +269,13 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
       if (satisfied) continue;  // never reconsider
     }
 
-    // Extend h with fresh nulls for the existential variables.
+    // Rebuild h from the body image and extend it with fresh nulls for
+    // the existential variables.
+    const Rule& rule = rules_[candidate.rule_index];
+    Substitution h;
+    for (std::size_t i = 0; i < rule.body_vars().size(); ++i) {
+      h.Bind(rule.body_vars()[i], candidate.body_image[i]);
+    }
     std::vector<Term> fresh;
     for (Term z : rule.existentials()) {
       Term null = universe()->FreshNull();
@@ -583,7 +572,7 @@ Instance ChaseThenDatalog(const Instance& database,
                           std::size_t datalog_max_steps) {
   Instance first = Chase(database, existential_rules, existential_options);
   // The Datalog phase inherits the existential phase's execution
-  // configuration (engine, threads, atom budget) with its own step bound.
+  // configuration (schedule, threads, atom budget) with its own step bound.
   ChaseOptions datalog_options;
   datalog_options.exec = existential_options.exec;
   datalog_options.exec.max_steps = datalog_max_steps;

@@ -24,7 +24,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "exec/execution_config.h"
 #include "homomorphism/homomorphism.h"
 #include "logic/instance.h"
 #include "logic/rule.h"
@@ -34,11 +33,8 @@ namespace bddfc {
 
 class RuleScheduler;
 class SegmentEngine;
-
-namespace exec {
-class ParallelChase;
+class ThreadPool;
 struct TriggerCandidate;
-}  // namespace exec
 
 namespace obs {
 class Counter;
@@ -62,22 +58,70 @@ enum class ChaseVariant {
   kRestricted,
 };
 
+/// How a chase schedules its rules across steps.
+///
+///   * kFlat — every step considers every rule (the historical behavior,
+///     bit-identical to chases run before the knob existed).
+///   * kStratified — rules are grouped into strata by the SCC condensation
+///     of their positive-reliance graph (src/analysis/reliance.h) and
+///     processed in topological order: a stratum is saturated before its
+///     dependents ever enumerate, rules whose body predicates gained no
+///     atoms since their last enumeration are skipped, and triggers fire
+///     in restraint-aware order. Produces the same result up to null
+///     renaming (CanonicalAtoms() compares equal; the restricted variant
+///     is hom-equivalent), but the step boundaries — and hence the null
+///     numbering and per-step provenance — may differ from kFlat.
+enum class ChaseSchedule {
+  kFlat,
+  kStratified,
+};
+
+/// Human-readable schedule name ("flat" / "stratified").
+const char* ToString(ChaseSchedule schedule);
+
+/// The execution knobs of a chase (or a Reasoner session): everything that
+/// steers *how* the work runs, as opposed to *what* is computed (rules,
+/// variant — those stay on ChaseOptions). Threaded verbatim through
+/// ObliviousChase (as ChaseOptions::exec), the Reasoner facade
+/// (ReasonerOptions::chase.exec), the server and chase_cli.
+struct ExecutionConfig {
+  /// Rule scheduling discipline. kFlat is bit-identical to the historical
+  /// behavior; kStratified reorders work along the reliance strata (same
+  /// result up to null renaming).
+  ChaseSchedule schedule = ChaseSchedule::kFlat;
+  /// Execution threads: 1 = serial, 0 = all hardware threads. Ignored when
+  /// `pool` is set.
+  std::size_t num_threads = 1;
+  /// Optional shared thread pool (not owned; must outlive the run). When
+  /// set it overrides `num_threads`: the run uses pool->num_workers() + 1
+  /// execution threads.
+  ThreadPool* pool = nullptr;
+  /// Chase step budget.
+  std::size_t max_steps = 16;
+  /// Chase atom budget.
+  std::size_t max_atoms = 200000;
+  /// Metrics sink (not owned; must outlive the run). Null routes to the
+  /// process-global registry (obs::Metrics()). Instrument updates are
+  /// relaxed atomics, so a monitor thread may sample the registry while
+  /// the run is live.
+  obs::MetricsRegistry* metrics = nullptr;
+};
+
 /// Variant selection and execution configuration for a chase run.
 struct ChaseOptions {
   ChaseVariant variant = ChaseVariant::kOblivious;
-  /// Escape hatch: re-enumerate every trigger from scratch at every step by
-  /// running a full homomorphism search per rule (the pre-semi-naive
-  /// behavior). The default delta-driven enumerator only matches triggers
-  /// anchored in the atoms the previous step derived; both produce the same
-  /// instance, trigger sequence, and provenance — the differential tests
-  /// cross-check them atom for atom.
+  /// Test-only reference oracle: re-enumerate every trigger from scratch
+  /// at every step with one serial homomorphism search per rule, and drop
+  /// the already-fired ones through the trigger ledger. The default
+  /// enumerator (src/chase/segment_engine.h) only matches triggers
+  /// anchored in the atoms the previous step derived; both produce the
+  /// same instance, trigger sequence, and provenance — the differential
+  /// tests cross-check them atom for atom.
   bool naive_enumeration = false;
-  /// How the chase executes (src/exec/execution_config.h): engine,
-  /// schedule, threads, an optional shared pool, and the step/atom
-  /// bounds. Every thread count produces a bit-identical chase: workers
-  /// only search the read-only instance, and their trigger batches are
-  /// merged into the canonical (rule, body-image) order before the serial
-  /// firing phase.
+  /// How the chase executes. Every thread count produces a bit-identical
+  /// chase: workers only search the read-only instance, and their trigger
+  /// batches are merged into the canonical (rule, body-image) order before
+  /// the serial firing phase.
   ExecutionConfig exec;
 };
 
@@ -100,7 +144,7 @@ class ObliviousChase {
   ObliviousChase(const Instance& database, RuleSet rules,
                  ChaseOptions options = {});
 
-  // The cached per-rule searches point into instance_.
+  // The cached searches and the segment engine point into instance_.
   ObliviousChase(const ObliviousChase&) = delete;
   ObliviousChase& operator=(const ObliviousChase&) = delete;
 
@@ -233,31 +277,36 @@ class ObliviousChase {
   };
   StepOutcome StepOnce();
 
+  // The ledger identity of `candidate`: its rule plus the full body image
+  // (oblivious, restricted) or the frontier image (semi-oblivious).
+  TriggerKey IdentityOf(const TriggerCandidate& candidate) const;
+
   // Restricted variant: true iff the head of `candidate`'s rule is already
   // satisfied by an extension of the trigger's frontier image. Read-only
   // and thread-safe (runs concurrently from the parallel precheck).
-  bool HeadSatisfied(const exec::TriggerCandidate& candidate) const;
+  bool HeadSatisfied(const TriggerCandidate& candidate) const;
 
   Instance instance_;
   RuleSet rules_;
   ChaseOptions options_;
-  // One cached homomorphism search per rule body; the searches reference
-  // instance_ and see every appended atom (ObliviousChase is therefore
-  // neither copyable nor movable).
+  // naive_enumeration only: one cached homomorphism search per rule body;
+  // the searches reference instance_ and see every appended atom
+  // (ObliviousChase is therefore neither copyable nor movable).
   std::vector<HomSearch> rule_searches_;
   // Restricted variant only: one cached head search per rule.
   std::vector<HomSearch> head_searches_;
   // Positions of each rule's frontier variables within body_vars() — seeds
   // the restricted head check straight from a candidate's body image, and
-  // derives the semi-oblivious trigger identity from segment-engine
-  // candidates.
+  // projects a candidate onto its semi-oblivious trigger identity.
   std::vector<std::vector<std::size_t>> frontier_positions_;
-  // Parallel executor (null when num_threads_ == 1: the serial path).
+  // The execution pool: owned_pool_ (built from exec.num_threads) or the
+  // borrowed exec.pool; null when num_threads_ == 1 (the serial path).
   std::size_t num_threads_ = 1;
-  std::unique_ptr<exec::ParallelChase> parallel_;
+  std::unique_ptr<ThreadPool> owned_pool_;
+  ThreadPool* pool_ = nullptr;
   // Per-round rule scheduling (never null; flat by default).
   std::unique_ptr<RuleScheduler> scheduler_;
-  // Segment-at-a-time enumerator (null under the default trigger engine).
+  // The set-at-a-time candidate enumerator (never null).
   std::unique_ptr<SegmentEngine> segment_;
   std::size_t steps_executed_ = 0;
   bool saturated_ = false;

@@ -72,11 +72,11 @@ const std::vector<std::size_t>* RuleScheduler::FiringRanks() const {
   return stratified() ? &stratification_->firing_rank : nullptr;
 }
 
-std::vector<exec::RuleJob> RuleScheduler::PlanRound(
+std::vector<RuleJob> RuleScheduler::PlanRound(
     bool global_full, std::uint32_t global_delta_begin,
     const Instance& instance) {
   BDDFC_OBS_SPAN(plan_span, "sched", "sched.plan_round");
-  std::vector<exec::RuleJob> jobs;
+  std::vector<RuleJob> jobs;
   if (!stratified()) {
     jobs.reserve(num_rules_);
     for (std::size_t r = 0; r < num_rules_; ++r) {
@@ -156,7 +156,7 @@ std::vector<exec::RuleJob> RuleScheduler::PlanRound(
   // Skip accounting: the flat schedule would have searched every rule.
   std::vector<char> planned(num_rules_, 0);
   std::size_t round_skipped = 0;
-  for (const exec::RuleJob& job : jobs) planned[job.rule_index] = 1;
+  for (const RuleJob& job : jobs) planned[job.rule_index] = 1;
   for (std::size_t r = 0; r < num_rules_; ++r) {
     if (!planned[r]) {
       ++stats_.skipped[r];

@@ -1,4 +1,4 @@
-// The rule-scheduling layer shared by both chase execution engines.
+// The rule-scheduling layer of the chase.
 //
 // ObliviousChase::StepOnce used to hard-code "every step considers every
 // rule, anchored at the chase's global delta". That loop is now a plan the
@@ -8,7 +8,7 @@
 //
 //   * flat — a stateless pass-through: every rule, the chase's global
 //     window. Byte-for-byte the historical behavior (the bit-identity
-//     guarantees of the engine/threads knobs extend to it).
+//     guarantee across thread counts extends to it).
 //   * stratified — driven by the positive-reliance stratification
 //     (src/analysis/reliance.h). Strata are processed in topological
 //     order: a stratum activates only when every predecessor stratum has
@@ -17,7 +17,7 @@
 //     activation is a full scan; afterwards exactly the atoms appended
 //     since their last enumeration), rules none of whose body predicates
 //     gained atoms since their cursor are skipped outright, and
-//     independent same-level strata fan out across the engines' existing
+//     independent same-level strata fan out across the chase's existing
 //     thread-pool parallelism (their jobs are planned into the same
 //     round). A round that fires nothing saturates every active stratum
 //     and activates the next ones — such "transition rounds" are not
@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "analysis/reliance.h"
-#include "exec/parallel_chase.h"
 #include "logic/instance.h"
 #include "logic/rule.h"
 
@@ -54,6 +53,19 @@ class Counter;
 class Gauge;
 class MetricsRegistry;
 }  // namespace obs
+
+/// One rule's enumeration assignment for a chase round, as planned by a
+/// RuleScheduler. The flat schedule gives every rule the chase's global
+/// delta window; the stratified schedule hands each rule its own window
+/// (rules of not-yet-active or saturated strata simply get no job).
+struct RuleJob {
+  std::size_t rule_index = 0;
+  /// Full enumeration over [0, delta_end) — the first-step / naive-mode
+  /// search — instead of a delta-anchored one.
+  bool full = false;
+  /// Delta window start (ignored when `full`).
+  std::uint32_t delta_begin = 0;
+};
 
 /// Monotone scheduling counters, exposed through ObliviousChase for
 /// ReasonerStats and chase_cli's per-rule reporting. The totals are also
@@ -82,9 +94,8 @@ class RuleScheduler {
   /// The stratified schedule: builds the reliance graph and its
   /// stratification up front. `universe` gains fresh variable names during
   /// unification; nothing else is mutated. With `naive` every planned rule
-  /// re-enumerates its full prefix each round (mirroring the trigger
-  /// engine's naive_enumeration escape hatch) instead of using delta
-  /// cursors.
+  /// re-enumerates its full prefix each round (the chase's
+  /// naive_enumeration oracle) instead of using delta cursors.
   static std::unique_ptr<RuleScheduler> Stratified(const RuleSet& rules,
                                                    Universe* universe,
                                                    bool naive);
@@ -110,9 +121,9 @@ class RuleScheduler {
   /// describe the chase's own window (the flat schedule forwards them
   /// verbatim; the stratified one tracks per-rule windows and scans
   /// `instance`'s new atoms to apply the empty-delta skip).
-  std::vector<exec::RuleJob> PlanRound(bool global_full,
-                                       std::uint32_t global_delta_begin,
-                                       const Instance& instance);
+  std::vector<RuleJob> PlanRound(bool global_full,
+                                 std::uint32_t global_delta_begin,
+                                 const Instance& instance);
 
   /// Completes the round PlanRound opened. `delta_end` is the instance
   /// size the round enumerated against; `fired[r]` counts rule r's fired

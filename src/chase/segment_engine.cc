@@ -116,6 +116,19 @@ SegmentRulePlan CompileSegmentPlan(const Rule& rule) {
 
 namespace {
 
+// Minimum anchor atoms per chunk; below this the scheduling overhead
+// outweighs the join work.
+constexpr std::uint32_t kScanGrain = 128;
+
+// Chunk width that splits a scan of `range` > 0 atoms into at most
+// 2*threads pieces of at least ~kScanGrain atoms each.
+std::uint32_t ChunkSize(std::uint32_t range, std::size_t threads) {
+  const std::size_t chunks = std::min<std::size_t>(
+      2 * threads, (range + kScanGrain - 1) / kScanGrain);
+  return (range + static_cast<std::uint32_t>(chunks) - 1) /
+         static_cast<std::uint32_t>(chunks);
+}
+
 // First entry k in [lo, hi) with term(k) >= t (entries of one run are
 // term-sorted).
 std::uint32_t LowerBoundTerm(const SortedRunsView& runs, std::uint32_t lo,
@@ -159,15 +172,16 @@ void SegmentEngine::ExecuteAnchor(std::size_t rule_index,
                                   const SegmentAnchorPlan& anchor_plan,
                                   std::uint32_t delta_begin,
                                   std::uint32_t delta_end,
-                                  std::vector<exec::TriggerCandidate>* out)
-    const {
+                                  std::uint32_t scan_lo,
+                                  std::uint32_t scan_hi, const KeepFn& keep,
+                                  std::vector<TriggerCandidate>* out) const {
   using Kind = SegmentJoinStep::Kind;
   using Range = SegmentJoinStep::Range;
-  // One span per (rule, anchor) plan execution — the segment engine's unit
-  // of work. Runs concurrently; the recorder's per-thread buffers keep it
-  // lock-free.
+  // One span per plan execution (one chunk of a (rule, anchor) plan) — the
+  // engine's unit of work. Runs concurrently; the recorder's per-thread
+  // buffers keep it lock-free.
   BDDFC_OBS_SPAN(anchor_span, "chase", "segment.anchor");
-  anchor_span.Arg("rule", rule_index);
+  anchor_span.Arg("rule", rule_index).Arg("anchor", anchor_plan.anchor);
   const std::size_t out_before = out->size();
   const FactStore& store = instance_->store();
   const std::vector<Atom>& all = store.atoms();
@@ -185,10 +199,14 @@ void SegmentEngine::ExecuteAnchor(std::size_t rule_index,
 
   for (const SegmentJoinStep& step : anchor_plan.steps) {
     // The step's atom-index window [range_lo, range_hi).
-    const std::uint32_t range_lo =
-        step.range == Range::kDelta ? delta_begin : 0;
-    const std::uint32_t range_hi =
-        step.range == Range::kOld ? delta_begin : delta_end;
+    std::uint32_t range_lo = 0;
+    std::uint32_t range_hi = delta_end;  // Range::kFull
+    if (step.range == Range::kDelta) {
+      range_lo = scan_lo;
+      range_hi = scan_hi;
+    } else if (step.range == Range::kOld) {
+      range_hi = delta_begin;
+    }
     if (range_lo >= range_hi) return;  // empty window: no homomorphisms
 
     if (step.kind == Kind::kScan || step.kind == Kind::kCross) {
@@ -302,60 +320,70 @@ void SegmentEngine::ExecuteAnchor(std::size_t rule_index,
     if (count == 0) return;
   }
 
-  // Project each surviving tuple onto the rule's canonical body image.
-  out->reserve(out->size() + count);
+  // Project each surviving tuple onto the rule's canonical body image and
+  // keep it unless the ledger already holds it. The probe reuses one
+  // scratch candidate, so rejected tuples allocate nothing.
+  TriggerCandidate candidate{rule_index, {}};
+  candidate.body_image.resize(anchor_plan.body_var_slots.size());
   for (std::size_t i = 0; i < count; ++i) {
     const Term* tuple = tuples.data() + i * width;
-    exec::TriggerCandidate candidate{rule_index, {}};
-    candidate.body_image.reserve(anchor_plan.body_var_slots.size());
-    for (const int slot : anchor_plan.body_var_slots) {
-      candidate.body_image.push_back(tuple[slot]);
+    for (std::size_t v = 0; v < anchor_plan.body_var_slots.size(); ++v) {
+      candidate.body_image[v] = tuple[anchor_plan.body_var_slots[v]];
     }
-    out->push_back(std::move(candidate));
+    if (keep(candidate)) out->push_back(candidate);
   }
   anchor_span.Arg("candidates", out->size() - out_before);
 }
 
-void SegmentEngine::CollectJobs(
-    const std::vector<exec::RuleJob>& jobs, std::uint32_t delta_end,
-    ThreadPool* pool, std::vector<exec::TriggerCandidate>* out) const {
-  // One work unit per (job, anchor) plan. A full job — a rule's first
-  // enumeration, searching the whole prefix as its delta — runs only the
-  // anchor-0 plan (anchors > 0 require an earlier body atom strictly below
-  // the delta, and a full window has no below-delta prefix).
+void SegmentEngine::CollectJobs(const std::vector<RuleJob>& jobs,
+                                std::uint32_t delta_end, ThreadPool* pool,
+                                const KeepFn& keep,
+                                std::vector<TriggerCandidate>* out) const {
+  // One work unit per (job, anchor plan, scan chunk). A full job — a
+  // rule's first enumeration, searching the whole prefix as its delta —
+  // runs only the anchor-0 plan (anchors > 0 require an earlier body atom
+  // strictly below the delta, and a full window has no below-delta
+  // prefix). Without a pool each plan is one unit over its whole range.
   struct Unit {
     std::size_t rule_index;
     const SegmentAnchorPlan* plan;
     std::uint32_t delta_begin;
+    std::uint32_t scan_lo;
+    std::uint32_t scan_hi;
   };
+  const std::size_t threads = pool == nullptr ? 0 : pool->num_workers() + 1;
   std::vector<Unit> units;
-  for (const exec::RuleJob& job : jobs) {
+  for (const RuleJob& job : jobs) {
     const std::uint32_t delta_begin = job.full ? 0 : job.delta_begin;
-    if (!job.full && job.delta_begin >= delta_end) continue;
+    if (delta_begin >= delta_end) continue;
+    const std::uint32_t range = delta_end - delta_begin;
+    const std::uint32_t chunk =
+        threads == 0 ? range : ChunkSize(range, threads);
     for (const SegmentAnchorPlan& ap : plans_[job.rule_index].anchors) {
       if (delta_begin == 0 && ap.anchor > 0) continue;
-      units.push_back({job.rule_index, &ap, delta_begin});
+      for (std::uint32_t lo = delta_begin; lo < delta_end; lo += chunk) {
+        units.push_back({job.rule_index, &ap, delta_begin, lo,
+                         std::min(delta_end, lo + chunk)});
+      }
     }
   }
-  if (pool == nullptr || units.size() <= 1) {
-    for (const Unit& unit : units) {
-      ExecuteAnchor(unit.rule_index, *unit.plan, unit.delta_begin,
-                    delta_end, out);
-    }
+  const auto run = [&](const Unit& u, std::vector<TriggerCandidate>* batch) {
+    ExecuteAnchor(u.rule_index, *u.plan, u.delta_begin, delta_end, u.scan_lo,
+                  u.scan_hi, keep, batch);
+  };
+  if (threads == 0 || units.size() <= 1) {
+    for (const Unit& unit : units) run(unit, out);
     return;
   }
-  // Private per-unit batches, concatenated in unit order; the caller's
-  // canonical sort erases any residual order sensitivity anyway.
-  std::vector<std::vector<exec::TriggerCandidate>> batches(units.size());
-  ParallelFor(pool, 0, units.size(), 1,
-              [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) {
-                  ExecuteAnchor(units[i].rule_index, *units[i].plan,
-                                units[i].delta_begin, delta_end,
-                                &batches[i]);
-                }
-              });
-  for (std::vector<exec::TriggerCandidate>& batch : batches) {
+  // Private per-unit batches, one pool task each (work stealing balances
+  // uneven chunks), concatenated in unit order; the caller's canonical
+  // sort erases any residual order sensitivity anyway.
+  std::vector<std::vector<TriggerCandidate>> batches(units.size());
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    pool->Submit([&, i] { run(units[i], &batches[i]); });
+  }
+  pool->WaitAll();
+  for (std::vector<TriggerCandidate>& batch : batches) {
     out->insert(out->end(), std::make_move_iterator(batch.begin()),
                 std::make_move_iterator(batch.end()));
   }

@@ -1,13 +1,11 @@
-// The segment-at-a-time chase execution engine (VLog-style set-at-a-time
-// rule execution).
+// The chase's candidate enumerator: VLog-style set-at-a-time rule
+// execution.
 //
-// The trigger engine enumerates rule-body homomorphisms one at a time
-// through a per-trigger backtracking search. This engine instead compiles
-// each rule body *once* into relational join plans over the FactStore's
-// sorted runs (SortedRunsView, src/storage/fact_store.h) and executes each
-// plan *once per chase step*, producing the step's whole candidate segment
-// in bulk: flat tuple vectors flow through merge joins instead of
-// per-match Substitution maps, and probe terms are matched by
+// Each rule body is compiled *once* into relational join plans over the
+// FactStore's sorted runs (SortedRunsView, src/storage/fact_store.h), and
+// each plan executes *once per chase step*, producing the step's whole
+// candidate segment in bulk: flat tuple vectors flow through merge joins
+// instead of per-match Substitution maps, and probe terms are matched by
 // binary-searching O(log n) sorted runs instead of hash lookups that
 // materialize an index vector per probe.
 //
@@ -18,9 +16,19 @@
 // to the old prefix [0, delta_begin), and atoms after a to the full range
 // [0, delta_end). The anchor is thus the *first* body atom mapping into
 // the delta, so each new homomorphism is produced by exactly one anchor
-// plan, exactly once — the same exactly-once property the trigger engine's
-// delta search has, which is why both engines hand the shared canonical
-// firing phase the same candidate set and produce bit-identical chases.
+// plan, exactly once — the candidate set the naive full re-enumeration
+// (ChaseOptions::naive_enumeration, the test oracle) keeps after its
+// ledger filter, which is why both hand the canonical firing phase the
+// same candidates and produce bit-identical chases.
+//
+// Fan-out: with a thread pool, each (rule, anchor) plan's scan of its
+// anchor range is split into chunks (at least ~128 atoms, at most two per
+// execution thread), and every chunk runs the whole plan as an
+// independent pool task. The anchor atom's image lies in exactly one
+// chunk, so the chunks partition the plan's homomorphisms and the
+// exactly-once property survives. Workers also probe the chase's fired
+// ledger (frozen during enumeration), so only surviving candidates are
+// materialized and merged.
 //
 // Join order within a plan is greedy: start at the anchor, then repeatedly
 // take the body atom with the most bound (already-slotted or constant)
@@ -34,16 +42,41 @@
 #define BDDFC_CHASE_SEGMENT_ENGINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
-#include "exec/parallel_chase.h"
+#include "base/thread_pool.h"
+#include "chase/rule_scheduler.h"
 #include "logic/instance.h"
 #include "logic/rule.h"
 
 namespace bddfc {
 
-class ThreadPool;
+/// One enumerated trigger candidate: a rule and the images of the rule's
+/// body_vars() in rule-variable order. The body image doubles as the
+/// canonical merge key and as the material to rebuild the trigger
+/// homomorphism.
+struct TriggerCandidate {
+  std::size_t rule_index = 0;
+  std::vector<Term> body_image;
+};
+
+/// The canonical (rule, body-image) firing order.
+inline bool CanonicalTriggerLess(const TriggerCandidate& a,
+                                 const TriggerCandidate& b) {
+  if (a.rule_index != b.rule_index) return a.rule_index < b.rule_index;
+  return a.body_image < b.body_image;
+}
+
+/// Sorts candidates into the canonical firing order, on `pool` when it is
+/// non-null. Candidates comparing equal are structurally identical, so the
+/// result is deterministic regardless of input (i.e. enumeration/merge)
+/// order and of the pool.
+inline void SortCanonical(ThreadPool* pool,
+                          std::vector<TriggerCandidate>* candidates) {
+  ParallelSort(pool, candidates, CanonicalTriggerLess);
+}
 
 /// One stage of a compiled per-anchor join plan.
 struct SegmentJoinStep {
@@ -61,7 +94,7 @@ struct SegmentJoinStep {
   /// Which atom-index range the body atom's image must fall in, realized
   /// against the step's [delta_begin, delta_end) at execution time.
   enum class Range {
-    kDelta,  // [delta_begin, delta_end) — the anchor
+    kDelta,  // [delta_begin, delta_end), or one chunk of it — the anchor
     kOld,    // [0, delta_begin) — body atoms before the anchor
     kFull,   // [0, delta_end)  — body atoms after the anchor
   };
@@ -110,6 +143,11 @@ SegmentRulePlan CompileSegmentPlan(const Rule& rule);
 /// the compiled plans; all state mutated per step is local to CollectJobs.
 class SegmentEngine {
  public:
+  /// Decides whether an enumerated candidate is kept (the chase's fired
+  /// ledger probe). Runs concurrently on the pool workers, so it must be
+  /// thread-safe and must not mutate shared state.
+  using KeepFn = std::function<bool(const TriggerCandidate&)>;
+
   SegmentEngine(const Instance* instance, const RuleSet* rules);
 
   const SegmentRulePlan& plan(std::size_t rule_index) const {
@@ -117,23 +155,27 @@ class SegmentEngine {
   }
 
   /// Appends to `out` every body homomorphism (as a TriggerCandidate body
-  /// image) that is new for the round planned by `jobs`: each rule runs
-  /// with its own delta window, as planned by a RuleScheduler. A `full`
-  /// job executes only the rule's anchor-0 plan over [0, delta_end) (the
-  /// first-step enumeration); a delta job executes every anchor plan over
-  /// [job.delta_begin, delta_end). When `pool` is non-null the (rule,
-  /// anchor) plan executions fan out over it; the caller's canonical sort
-  /// erases the nondeterministic batch order. Read-only with respect to
-  /// the instance.
-  void CollectJobs(const std::vector<exec::RuleJob>& jobs,
-                   std::uint32_t delta_end, ThreadPool* pool,
-                   std::vector<exec::TriggerCandidate>* out) const;
+  /// image) that is new for the round planned by `jobs` and that `keep`
+  /// accepts: each rule runs with its own delta window, as planned by a
+  /// RuleScheduler. A `full` job executes only the rule's anchor-0 plan
+  /// over [0, delta_end) (the first-step enumeration); a delta job
+  /// executes every anchor plan over [job.delta_begin, delta_end). When
+  /// `pool` is non-null every plan's anchor range is chunked and the
+  /// chunks fan out over it; the caller's canonical sort erases the
+  /// nondeterministic batch order. Read-only with respect to the instance.
+  void CollectJobs(const std::vector<RuleJob>& jobs, std::uint32_t delta_end,
+                   ThreadPool* pool, const KeepFn& keep,
+                   std::vector<TriggerCandidate>* out) const;
 
  private:
+  // Runs one plan with its anchor's image restricted to [scan_lo, scan_hi)
+  // ⊆ [delta_begin, delta_end).
   void ExecuteAnchor(std::size_t rule_index,
                      const SegmentAnchorPlan& anchor_plan,
                      std::uint32_t delta_begin, std::uint32_t delta_end,
-                     std::vector<exec::TriggerCandidate>* out) const;
+                     std::uint32_t scan_lo, std::uint32_t scan_hi,
+                     const KeepFn& keep,
+                     std::vector<TriggerCandidate>* out) const;
 
   const Instance* instance_;
   const RuleSet* rules_;

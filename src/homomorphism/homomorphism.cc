@@ -14,12 +14,9 @@ namespace {
 // Greedy connectivity-based ordering: repeatedly pick the atom that shares
 // the most terms with atoms already placed (ties: more rigid terms first,
 // then fewer fresh variables, then lowest input position). Fully
-// deterministic; keeps the backtracking search anchored. When `first` is
-// non-negative, atoms[first] is placed up front (the delta-anchor runs of
-// ForEachDelta seed the ordering with the anchor atom). Returns the
+// deterministic; keeps the backtracking search anchored. Returns the
 // positions of `atoms` in search order.
-std::vector<std::size_t> GreedyOrderIndices(const std::vector<Atom>& atoms,
-                                            int first) {
+std::vector<std::size_t> GreedyOrderIndices(const std::vector<Atom>& atoms) {
   std::vector<std::size_t> order;
   order.reserve(atoms.size());
   std::unordered_set<Term> seen;
@@ -31,7 +28,6 @@ std::vector<std::size_t> GreedyOrderIndices(const std::vector<Atom>& atoms,
     }
     order.push_back(i);
   };
-  if (first >= 0) place(static_cast<std::size_t>(first));
   while (order.size() < atoms.size()) {
     int best = -1;
     int best_shared = -1;
@@ -79,7 +75,7 @@ std::vector<std::size_t> GreedyOrderIndices(const std::vector<Atom>& atoms,
 }
 
 std::vector<Atom> OrderForSearch(std::vector<Atom> atoms) {
-  std::vector<std::size_t> order = GreedyOrderIndices(atoms, -1);
+  std::vector<std::size_t> order = GreedyOrderIndices(atoms);
   std::vector<Atom> ordered;
   ordered.reserve(atoms.size());
   for (std::size_t i : order) ordered.push_back(std::move(atoms[i]));
@@ -95,7 +91,7 @@ struct SearchState {
   const Instance* target;
   bool injective;
   // When non-null: per-depth image index ranges, parallel to *source
-  // (semi-naive delta anchoring). Null means unconstrained.
+  // (ForEachFirstIn's chunking). Null means unconstrained.
   const std::vector<AtomRange>* ranges = nullptr;
   std::unordered_map<Term, Term> assignment;
   std::unordered_set<Term> used;  // images, for injectivity
@@ -238,81 +234,6 @@ std::size_t HomSearch::ForEach(
   st.injective = options_.injective;
   st.visit = &visit;
   if (!SeedState(source_, seed, &st)) return 0;
-  Search(&st, 0);
-  return st.visited;
-}
-
-void HomSearch::EnsureAnchorOrders() const {
-  if (!anchor_orders_.empty() || source_.empty()) return;
-  anchor_orders_.reserve(source_.size());
-  anchor_atoms_.reserve(source_.size());
-  for (std::size_t i = 0; i < source_.size(); ++i) {
-    anchor_orders_.push_back(
-        GreedyOrderIndices(source_, static_cast<int>(i)));
-    std::vector<Atom> atoms;
-    atoms.reserve(source_.size());
-    for (std::size_t pos : anchor_orders_.back()) {
-      atoms.push_back(source_[pos]);
-    }
-    anchor_atoms_.push_back(std::move(atoms));
-  }
-}
-
-std::size_t HomSearch::ForEachDelta(
-    const Substitution& seed, std::uint32_t delta_begin,
-    std::uint32_t delta_end,
-    const std::function<bool(const Substitution&)>& visit) const {
-  if (delta_begin >= delta_end || source_.empty()) return 0;
-  EnsureAnchorOrders();
-  // Partition the qualifying homomorphisms by their *anchor*: the first
-  // source atom (in source_ order) whose image falls inside the delta.
-  // Anchor run i constrains source_[i] to the delta, source_[j] for j < i
-  // strictly below it, and later atoms to the delta_end prefix — each
-  // qualifying homomorphism is generated by exactly one run.
-  std::size_t total = 0;
-  bool stopped = false;
-  const auto wrapped = [&](const Substitution& h) {
-    if (!visit(h)) {
-      stopped = true;
-      return false;
-    }
-    return true;
-  };
-  for (std::size_t anchor = 0; anchor < source_.size(); ++anchor) {
-    total += ForEachDeltaAnchor(anchor, delta_begin, delta_end, delta_begin,
-                                delta_end, seed, wrapped);
-    if (stopped) break;
-  }
-  return total;
-}
-
-std::size_t HomSearch::ForEachDeltaAnchor(
-    std::size_t anchor, std::uint32_t delta_begin, std::uint32_t delta_end,
-    std::uint32_t anchor_begin, std::uint32_t anchor_end,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visit) const {
-  if (anchor_begin >= anchor_end || source_.empty()) return 0;
-  EnsureAnchorOrders();
-  BDDFC_CHECK_LT(anchor, source_.size());
-  std::vector<AtomRange> run_ranges(source_.size());
-  const std::vector<std::size_t>& order = anchor_orders_[anchor];
-  for (std::size_t d = 0; d < order.size(); ++d) {
-    const std::size_t pos = order[d];
-    if (pos < anchor) {
-      run_ranges[d] = {0, delta_begin};
-    } else if (pos == anchor) {
-      run_ranges[d] = {anchor_begin, anchor_end};
-    } else {
-      run_ranges[d] = {0, delta_end};
-    }
-  }
-  SearchState st;
-  st.source = &anchor_atoms_[anchor];
-  st.target = target_;
-  st.injective = options_.injective;
-  st.ranges = &run_ranges;
-  st.visit = &visit;
-  if (!SeedState(anchor_atoms_[anchor], seed, &st)) return 0;
   Search(&st, 0);
   return st.visited;
 }

@@ -54,34 +54,6 @@ class HomSearch {
                       const std::function<bool(const Substitution&)>& visit)
       const;
 
-  /// Delta-anchored enumeration (semi-naive evaluation): visits exactly the
-  /// homomorphisms extending `seed` whose image uses at least one target
-  /// atom with index in [delta_begin, delta_end) and no atom with index
-  /// >= delta_end. Equivalent to ForEach over the delta_end-prefix filtered
-  /// a posteriori, but each source atom is iterated as the "delta anchor"
-  /// (anchor in the delta, earlier atoms strictly below it, later atoms
-  /// unconstrained), so every qualifying homomorphism is visited exactly
-  /// once and the search only scans index ranges that can qualify.
-  std::size_t ForEachDelta(
-      const Substitution& seed, std::uint32_t delta_begin,
-      std::uint32_t delta_end,
-      const std::function<bool(const Substitution&)>& visit) const;
-
-  /// One anchor run of ForEachDelta, exposed so the parallel executor can
-  /// schedule (anchor × delta-chunk) units independently: visits exactly
-  /// the homomorphisms extending `seed` whose anchor (the first source
-  /// atom, in ordered_source() order, with image in the delta) is
-  /// ordered_source()[anchor] and whose anchor image index lies in
-  /// [anchor_begin, anchor_end) ⊆ [delta_begin, delta_end). Summing over
-  /// all anchors with [anchor_begin, anchor_end) = [delta_begin, delta_end)
-  /// — or over any partition of that range — reproduces ForEachDelta
-  /// exactly. Call PrepareDelta() first when invoking from several threads.
-  std::size_t ForEachDeltaAnchor(
-      std::size_t anchor, std::uint32_t delta_begin, std::uint32_t delta_end,
-      std::uint32_t anchor_begin, std::uint32_t anchor_end,
-      const Substitution& seed,
-      const std::function<bool(const Substitution&)>& visit) const;
-
   /// Like ForEach, but the image of ordered_source()[0] is restricted to
   /// target atom indices in [first_begin, first_end); later atoms are
   /// unconstrained. Partitioning [0, target size) across such calls
@@ -92,14 +64,6 @@ class HomSearch {
       std::uint32_t first_begin, std::uint32_t first_end,
       const Substitution& seed,
       const std::function<bool(const Substitution&)>& visit) const;
-
-  /// Precomputes the per-anchor orderings so concurrent ForEachDeltaAnchor
-  /// calls are read-only. Idempotent; must run before sharing this search
-  /// across threads.
-  void PrepareDelta() const { EnsureAnchorOrders(); }
-
-  /// Number of source atoms — the delta-anchor index space.
-  std::size_t source_size() const { return source_.size(); }
 
   /// Collects up to `limit` homomorphisms extending `seed`.
   std::vector<Substitution> FindAll(const Substitution& seed = {},
@@ -128,17 +92,9 @@ class HomSearch {
   const std::vector<Atom>& ordered_source() const { return source_; }
 
  private:
-  void EnsureAnchorOrders() const;
-
   std::vector<Atom> source_;
   const Instance* target_;
   HomOptions options_;
-  // anchor_orders_[i]: positions of source_ reordered for the search run
-  // whose delta anchor is source_[i] (anchor first, rest by connectivity);
-  // anchor_atoms_[i] is source_ permuted accordingly. Built lazily on the
-  // first ForEachDelta call; both depend only on source_.
-  mutable std::vector<std::vector<std::size_t>> anchor_orders_;
-  mutable std::vector<std::vector<Atom>> anchor_atoms_;
 };
 
 // --- Convenience entry points ----------------------------------------------

@@ -48,7 +48,7 @@ namespace bddfc {
 namespace serve {
 
 struct ServerOptions {
-  /// Session configuration (chase variant/engine/bounds). The answer
+  /// Session configuration (chase variant/schedule/bounds). The answer
   /// strategy is forced to materialize-semantics; leave
   /// chase.exec.num_threads at 1 — intra-request parallelism is not used,
   /// the server scales across requests instead.

@@ -235,9 +235,9 @@ IndexView FactStore::AtomsWithIn(PredicateId pred, int pos, Term t,
     for (auto it = first; it != last; ++it) out.push_back(table.rows[*it]);
     run_begin = run_end;
   }
-  // Each run contributed an ascending slice; interleave them into the
-  // global ascending order the contract requires.
-  if (table.run_ends.size() > 1) std::sort(out.begin(), out.end());
+  // Already in the ascending order the contract requires: each run covers
+  // a contiguous, ascending range of local rows, so the per-run slices,
+  // concatenated in run order, ascend.
   return IndexView(std::move(out));
 }
 

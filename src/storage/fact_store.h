@@ -1,5 +1,5 @@
-// The fact store: the storage layer every engine (chase, parallel exec,
-// homomorphism search, rewriting evaluation, the Reasoner facade) sits on.
+// The fact store: the storage layer every consumer (chase, homomorphism
+// search, rewriting evaluation, the Reasoner facade) sits on.
 //
 // A FactStore is an append-only set of ground atoms with
 //   * a stable insertion order (atom index i never changes; the chase uses
@@ -264,7 +264,7 @@ class SortedRunsView {
 };
 
 /// The columnar fact store. See the file comment for the layout. All index
-/// query results list atom indices in ascending order — the engines'
+/// query results list atom indices in ascending order — the chase's
 /// determinism guarantee (bit-identical chase runs at every thread count)
 /// rests on it.
 class FactStore {

@@ -1,21 +1,19 @@
-// Tests for the execution subsystem: the work-stealing ThreadPool and
-// ParallelFor in src/base, the exec::ParallelChase building blocks, and
-// the pool-parallel HomSearch queries (which must be bit-identical to
-// their serial counterparts).
+// Tests for the parallel execution building blocks: the work-stealing
+// ThreadPool, ParallelFor and ParallelSort in src/base, and the
+// pool-parallel HomSearch queries (which must be bit-identical to their
+// serial counterparts).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
-#include <set>
-#include <utility>
 #include <vector>
 
 #include "base/rng.h"
 #include "base/thread_pool.h"
-#include "exec/parallel_chase.h"
 #include "generators/workload.h"
 #include "homomorphism/homomorphism.h"
 #include "logic/parser.h"
@@ -103,19 +101,22 @@ TEST(ParallelForTest, NullPoolAndEmptyRangeAreFine) {
   EXPECT_EQ(sum, 4950u);
 }
 
-TEST(SortCanonicalTest, OrdersByRuleThenBodyImage) {
-  Universe u;
-  Term a = u.InternConstant("a");
-  Term b = u.InternConstant("b");
-  std::vector<exec::TriggerCandidate> candidates;
-  candidates.push_back({1, {a}});
-  candidates.push_back({0, {b, a}});
-  candidates.push_back({0, {a, b}});
-  exec::SortCanonical(&candidates);
-  EXPECT_EQ(candidates[0].rule_index, 0u);
-  EXPECT_EQ(candidates[0].body_image, (std::vector<Term>{a, b}));
-  EXPECT_EQ(candidates[1].body_image, (std::vector<Term>{b, a}));
-  EXPECT_EQ(candidates[2].rule_index, 1u);
+TEST(ParallelSortTest, MatchesStdSort) {
+  Rng rng(42);
+  for (std::size_t n : {0u, 100u, 10000u, 50001u}) {
+    std::vector<std::uint32_t> input(n);
+    for (std::uint32_t& x : input) {
+      x = static_cast<std::uint32_t>(rng.Below(n / 4 + 1));  // duplicates
+    }
+    std::vector<std::uint32_t> expected = input;
+    std::sort(expected.begin(), expected.end());
+    for (std::size_t workers : {0u, 1u, 3u, 6u}) {
+      ThreadPool pool(workers);
+      std::vector<std::uint32_t> sorted = input;
+      ParallelSort(&pool, &sorted, std::less<std::uint32_t>());
+      EXPECT_EQ(sorted, expected) << "n " << n << " workers " << workers;
+    }
+  }
 }
 
 // Builds a mid-sized random instance and a connected CQ, then checks every
@@ -209,42 +210,6 @@ TEST(ForEachFirstInTest, PartitionReproducesForEach) {
           << "split " << split << " hom " << i;
     }
   }
-}
-
-TEST(ForEachDeltaAnchorTest, ChunkedAnchorsReproduceForEachDelta) {
-  Universe u;
-  // Two chase-like "generations": treat the last four atoms as the delta.
-  Instance instance = MustParseInstance(
-      &u,
-      "E(a,b). E(b,c). E(c,d). E(d,e). "
-      "E(e,f). E(f,g). E(g,a). E(e,a).");
-  Cq q = MustParseCq(&u, "? :- E(x,y), E(y,z)");
-  HomSearch search(q.atoms(), &instance);
-  const std::uint32_t delta_begin = 5;  // ⊤ + first four atoms before it
-  const std::uint32_t delta_end = static_cast<std::uint32_t>(instance.size());
-  std::multiset<std::vector<std::pair<Term, Term>>> expected, chunked;
-  const auto keyed = [](const Substitution& h) {
-    std::vector<std::pair<Term, Term>> key(h.entries().begin(),
-                                           h.entries().end());
-    std::sort(key.begin(), key.end());
-    return key;
-  };
-  search.ForEachDelta({}, delta_begin, delta_end, [&](const Substitution& h) {
-    expected.insert(keyed(h));
-    return true;
-  });
-  EXPECT_FALSE(expected.empty());
-  search.PrepareDelta();
-  for (std::size_t anchor = 0; anchor < search.source_size(); ++anchor) {
-    for (std::uint32_t lo = delta_begin; lo < delta_end; ++lo) {
-      search.ForEachDeltaAnchor(anchor, delta_begin, delta_end, lo, lo + 1,
-                                {}, [&](const Substitution& h) {
-                                  chunked.insert(keyed(h));
-                                  return true;
-                                });
-    }
-  }
-  EXPECT_EQ(expected, chunked);
 }
 
 }  // namespace

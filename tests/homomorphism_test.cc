@@ -3,11 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstdint>
-#include <utility>
-#include <vector>
-
 #include "homomorphism/homomorphism.h"
 #include "logic/parser.h"
 
@@ -149,96 +144,6 @@ TEST_F(HomTest, SeedContradictionReturnsNothing) {
   Substitution seed;
   seed.Bind(u_.FindConstant("b"), u_.FindConstant("a"));
   EXPECT_FALSE(search.Exists(seed));
-}
-
-// Serializes a homomorphism restricted to the variables of `atoms` into a
-// canonical, comparable form.
-std::vector<std::pair<std::uint32_t, std::uint32_t>> Canonical(
-    const std::vector<Atom>& atoms, const Substitution& h) {
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
-  for (const Atom& a : atoms) {
-    for (Term t : a.args()) {
-      if (t.IsRigid()) continue;
-      out.emplace_back(t.raw(), h.Apply(t).raw());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-TEST_F(HomTest, ForEachDeltaMatchesFilteredForEach) {
-  // Two insertion waves; the delta-anchored enumeration must visit exactly
-  // the homomorphisms that use at least one second-wave atom, each once.
-  Instance grown = MustParseInstance(&u_, "E(a,b). E(b,c). E(c,a).");
-  const std::uint32_t wave1 = static_cast<std::uint32_t>(grown.size());
-  Instance extras = MustParseInstance(&u_, "E(c,d). E(d,a). E(b,d).");
-  for (const Atom& extra : extras.atoms()) grown.AddAtom(extra);
-  const std::uint32_t wave2 = static_cast<std::uint32_t>(grown.size());
-  Cq q = MustParseCq(&u_, "? :- E(x,y), E(y,z)");
-  HomSearch search(q.atoms(), &grown);
-
-  // Brute force: all homomorphisms, filtered by "some image in the delta".
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> expected;
-  search.ForEach({}, [&](const Substitution& h) {
-    bool touches_delta = false;
-    for (const Atom& a : q.atoms()) {
-      std::size_t idx = grown.IndexOf(h.Apply(a));
-      EXPECT_NE(idx, SIZE_MAX);
-      if (idx >= wave1 && idx < wave2) touches_delta = true;
-    }
-    if (touches_delta) expected.push_back(Canonical(q.atoms(), h));
-    return true;
-  });
-
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> actual;
-  std::size_t visited = search.ForEachDelta({}, wave1, wave2,
-                                            [&](const Substitution& h) {
-                                              actual.push_back(
-                                                  Canonical(q.atoms(), h));
-                                              return true;
-                                            });
-  EXPECT_EQ(visited, actual.size());
-  std::sort(expected.begin(), expected.end());
-  std::sort(actual.begin(), actual.end());
-  EXPECT_EQ(actual, expected);  // same multiset: exactly once each
-  EXPECT_FALSE(actual.empty());
-}
-
-TEST_F(HomTest, ForEachDeltaEmptyOrInvertedDelta) {
-  Instance inst = MustParseInstance(&u_, "E(a,b). E(b,c).");
-  Cq q = MustParseCq(&u_, "? :- E(x,y)");
-  HomSearch search(q.atoms(), &inst);
-  EXPECT_EQ(search.ForEachDelta({}, 2, 2, [](const Substitution&) {
-    return true;
-  }), 0u);
-  EXPECT_EQ(search.ForEachDelta({}, 3, 1, [](const Substitution&) {
-    return true;
-  }), 0u);
-  // Delta covering the whole instance behaves like ForEach.
-  EXPECT_EQ(search.ForEachDelta(
-                {}, 0, static_cast<std::uint32_t>(inst.size()),
-                [](const Substitution&) { return true; }),
-            2u);
-}
-
-TEST_F(HomTest, ForEachDeltaHonorsSeedAndEarlyStop) {
-  Instance inst = MustParseInstance(&u_, "E(a,b). E(a,c). E(b,c).");
-  Cq q = MustParseCq(&u_, "?(x) :- E(x,y)");
-  HomSearch search(q.atoms(), &inst);
-  Substitution seed;
-  seed.Bind(q.answers()[0], u_.FindConstant("a"));
-  // Delta = the last two atoms; only E(a,c) extends the seed.
-  std::size_t n = search.ForEachDelta(seed, 2, 4, [&](const Substitution& h) {
-    EXPECT_EQ(h.Apply(q.answers()[0]), u_.FindConstant("a"));
-    return true;
-  });
-  EXPECT_EQ(n, 1u);
-  // Early stop after the first visit.
-  std::size_t stops = search.ForEachDelta({}, 1, 4, [](const Substitution&) {
-    return false;
-  });
-  EXPECT_EQ(stops, 1u);
 }
 
 TEST_F(HomTest, OrderForSearchPrefersFewerFreshVariables) {

@@ -3,7 +3,7 @@
 // zero-allocation guarantee, Chrome trace JSON shape, the progress
 // monitor, cooperative cancellation — and the load-bearing contract that
 // tracing only observes: the chase is bit-identical with the session on
-// or off, across both engines and thread counts.
+// or off, serially and at 4 threads.
 
 #include <gtest/gtest.h>
 
@@ -310,7 +310,7 @@ TEST_F(ObsTest, RegistrySnapshotFlattensAndSkipsZeros) {
 // The central guarantee: tracing must not perturb the chase. Same rules,
 // same database, same config — the run with a live trace session must be
 // bit-identical (canonical atoms AND trigger count) to the run without,
-// for every engine x thread-count combination.
+// serially and at 4 threads.
 TEST_F(ObsTest, TracingOnOffBitIdenticalDifferential) {
   const std::string rules_text =
       "E(x,y), E(y,z) -> E(x,z)\n"
@@ -335,21 +335,17 @@ TEST_F(ObsTest, TracingOnOffBitIdenticalDifferential) {
       TraceSession::Global().Clear();
     }
   };
-  for (ChaseEngine engine : {ChaseEngine::kTrigger, ChaseEngine::kSegment}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      ChaseOptions options;
-      options.exec.engine = engine;
-      options.exec.num_threads = threads;
-      options.exec.max_steps = 8;
-      Run untraced, traced;
-      run_chase(options, false, &untraced);
-      run_chase(options, true, &traced);
-      EXPECT_EQ(untraced.chase->CanonicalAtoms(),
-                traced.chase->CanonicalAtoms())
-          << "engine=" << static_cast<int>(engine) << " threads=" << threads;
-      EXPECT_EQ(untraced.chase->TriggersFired(),
-                traced.chase->TriggersFired());
-    }
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ChaseOptions options;
+    options.exec.num_threads = threads;
+    options.exec.max_steps = 8;
+    Run untraced, traced;
+    run_chase(options, false, &untraced);
+    run_chase(options, true, &traced);
+    EXPECT_EQ(untraced.chase->CanonicalAtoms(),
+              traced.chase->CanonicalAtoms())
+        << "threads=" << threads;
+    EXPECT_EQ(untraced.chase->TriggersFired(), traced.chase->TriggersFired());
   }
 }
 

@@ -3,7 +3,7 @@
 // must produce the same final atom set up to null renaming
 // (CanonicalAtoms() equality) for the oblivious and semi-oblivious
 // variants, and a hom-equivalent universal model for the restricted
-// variant — across both execution engines and serial/parallel execution.
+// variant — serially and at 4 threads.
 // The flat schedule itself must remain bit-identical to the default
 // configuration.
 //
@@ -57,8 +57,6 @@ constexpr Workload kWorkloads[] = {
 constexpr ChaseVariant kVariants[] = {ChaseVariant::kOblivious,
                                       ChaseVariant::kSemiOblivious,
                                       ChaseVariant::kRestricted};
-constexpr ChaseEngine kEngines[] = {ChaseEngine::kTrigger,
-                                    ChaseEngine::kSegment};
 constexpr std::size_t kThreadCounts[] = {1, 4};
 
 const char* VariantName(ChaseVariant v) {
@@ -86,36 +84,32 @@ void Execute(const Workload& w, ChaseOptions options, ChaseRun* run) {
   run->chase->Run();
 }
 
-TEST(StratifiedDifferentialTest, MatchesFlatAcrossEnginesAndThreads) {
+TEST(StratifiedDifferentialTest, MatchesFlatAcrossThreads) {
   for (const Workload& w : kWorkloads) {
     for (ChaseVariant variant : kVariants) {
-      for (ChaseEngine engine : kEngines) {
-        for (std::size_t threads : kThreadCounts) {
-          SCOPED_TRACE(std::string(w.name) + " " + VariantName(variant) +
-                       " " + ToString(engine) + " threads " +
-                       std::to_string(threads));
-          ChaseOptions options{.variant = variant,
-                               .exec = {.engine = engine,
-                                        .num_threads = threads,
-                                        .max_steps = 64,
-                                        .max_atoms = 100000}};
-          ChaseRun flat, stratified;
-          options.exec.schedule = ChaseSchedule::kFlat;
-          Execute(w, options, &flat);
-          options.exec.schedule = ChaseSchedule::kStratified;
-          Execute(w, options, &stratified);
+      for (std::size_t threads : kThreadCounts) {
+        SCOPED_TRACE(std::string(w.name) + " " + VariantName(variant) +
+                     " threads " + std::to_string(threads));
+        ChaseOptions options{.variant = variant,
+                             .exec = {.num_threads = threads,
+                                      .max_steps = 64,
+                                      .max_atoms = 100000}};
+        ChaseRun flat, stratified;
+        options.exec.schedule = ChaseSchedule::kFlat;
+        Execute(w, options, &flat);
+        options.exec.schedule = ChaseSchedule::kStratified;
+        Execute(w, options, &stratified);
 
-          ASSERT_TRUE(flat.chase->Saturated());
-          ASSERT_TRUE(stratified.chase->Saturated());
-          if (variant == ChaseVariant::kRestricted) {
-            // Firing order changes which triggers the restricted chase
-            // pre-empts, so only hom-equivalence is promised.
-            EXPECT_TRUE(HomEquivalent(flat.chase->Result(),
-                                      stratified.chase->Result()));
-          } else {
-            EXPECT_EQ(flat.chase->CanonicalAtoms(),
-                      stratified.chase->CanonicalAtoms());
-          }
+        ASSERT_TRUE(flat.chase->Saturated());
+        ASSERT_TRUE(stratified.chase->Saturated());
+        if (variant == ChaseVariant::kRestricted) {
+          // Firing order changes which triggers the restricted chase
+          // pre-empts, so only hom-equivalence is promised.
+          EXPECT_TRUE(HomEquivalent(flat.chase->Result(),
+                                    stratified.chase->Result()));
+        } else {
+          EXPECT_EQ(flat.chase->CanonicalAtoms(),
+                    stratified.chase->CanonicalAtoms());
         }
       }
     }
@@ -178,11 +172,10 @@ TEST(StratifiedDifferentialTest, NaiveEnumerationAgreesWhenStratified) {
   }
 }
 
-// Incremental insertion resume under the segment engine. After
-// saturation, AddBaseFacts must resume the chase and converge to the same
-// model (up to null renaming) as chasing the extended database from
-// scratch — under both schedules.
-TEST(StratifiedDifferentialTest, SegmentEngineIncrementalResume) {
+// Incremental insertion resume. After saturation, AddBaseFacts must resume
+// the chase and converge to the same model (up to null renaming) as
+// chasing the extended database from scratch — under both schedules.
+TEST(StratifiedDifferentialTest, IncrementalResumeMatchesFromScratch) {
   const char* rules_text =
       "A(x,y) -> B(x,y)\n"
       "B(x,y), B(y,z) -> B(x,z)\n"
@@ -192,8 +185,7 @@ TEST(StratifiedDifferentialTest, SegmentEngineIncrementalResume) {
   for (ChaseSchedule schedule :
        {ChaseSchedule::kFlat, ChaseSchedule::kStratified}) {
     SCOPED_TRACE(ToString(schedule));
-    ChaseOptions options{.exec = {.engine = ChaseEngine::kSegment,
-                                  .schedule = schedule,
+    ChaseOptions options{.exec = {.schedule = schedule,
                                   .max_steps = 64,
                                   .max_atoms = 100000}};
     ChaseRun incremental;

@@ -23,7 +23,6 @@
 //                      its incremental chase is bit-identical to the
 //                      from-scratch chase, so per-epoch answers are
 //                      reproducible exactly)
-//   --engine=trigger|segment    chase engine (default trigger)
 //   --schedule=flat|stratified  rule scheduling (default flat)
 //   --threads=N        dispatcher worker threads executing requests
 //                      (default 0 = all hardware threads; 1 = inline)
@@ -56,7 +55,6 @@
 
 namespace {
 
-using bddfc::ChaseEngine;
 using bddfc::ChaseVariant;
 using bddfc::cli::FlagValue;
 using bddfc::cli::ReadFile;
@@ -68,7 +66,6 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s [--port=N | --stdio]\n"
       "          [--variant=oblivious|semi|restricted]\n"
-      "          [--engine=trigger|segment]\n"
       "          [--schedule=flat|stratified]\n"
       "          [--threads=N] [--workers=N]\n"
       "          [--max-steps=N] [--max-atoms=N]\n"
@@ -115,16 +112,6 @@ int main(int argc, char** argv) {
         options.reasoner.chase.variant = ChaseVariant::kRestricted;
       } else {
         std::fprintf(stderr, "bddfc_server: unknown variant \"%.*s\"\n",
-                     static_cast<int>(value.size()), value.data());
-        return Usage(argv[0]);
-      }
-    } else if (FlagValue(arg, "--engine", &value)) {
-      if (value == "trigger") {
-        options.reasoner.chase.exec.engine = ChaseEngine::kTrigger;
-      } else if (value == "segment") {
-        options.reasoner.chase.exec.engine = ChaseEngine::kSegment;
-      } else {
-        std::fprintf(stderr, "bddfc_server: unknown engine \"%.*s\"\n",
                      static_cast<int>(value.size()), value.data());
         return Usage(argv[0]);
       }

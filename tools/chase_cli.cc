@@ -6,14 +6,6 @@
 // Flags:
 //   --variant=oblivious|semi|restricted   trigger discipline (default
 //                                         oblivious)
-//   --engine=trigger|segment   chase execution engine (default trigger).
-//                      trigger enumerates body homomorphisms one at a
-//                      time; segment compiles each rule into merge-join
-//                      plans over the storage's sorted runs and derives
-//                      whole candidate segments per step. Both reach the
-//                      same saturation — the chase is bit-identical
-//                      (atoms, trigger order, nulls, provenance) across
-//                      engines.
 //   --threads=N        execution threads; 1 = serial, 0 = all hardware
 //                      threads (default 1). Answers and the chase are
 //                      identical at any thread count.
@@ -88,7 +80,6 @@ namespace {
 
 using bddfc::AnswerStrategy;
 using bddfc::AnswerTuple;
-using bddfc::ChaseEngine;
 using bddfc::ChaseOptions;
 using bddfc::ChaseVariant;
 using bddfc::JsonEscape;
@@ -104,8 +95,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--variant=oblivious|semi|restricted]\n"
-      "          [--engine=trigger|segment] [--threads=N]\n"
-      "          [--schedule=flat|stratified]\n"
+      "          [--threads=N] [--schedule=flat|stratified]\n"
       "          [--max-steps=N] [--max-atoms=N]\n"
       "          [--query=FILE] [--strategy=materialize|rewrite|auto]\n"
       "          [--trace=FILE] [--progress[=MS]] [--analyze]\n"
@@ -177,16 +167,6 @@ int main(int argc, char** argv) {
         chase_options.variant = ChaseVariant::kRestricted;
       } else {
         std::fprintf(stderr, "chase_cli: unknown variant \"%.*s\"\n",
-                     static_cast<int>(value.size()), value.data());
-        return Usage(argv[0]);
-      }
-    } else if (FlagValue(arg, "--engine", &value)) {
-      if (value == "trigger") {
-        chase_options.exec.engine = ChaseEngine::kTrigger;
-      } else if (value == "segment") {
-        chase_options.exec.engine = ChaseEngine::kSegment;
-      } else {
-        std::fprintf(stderr, "chase_cli: unknown engine \"%.*s\"\n",
                      static_cast<int>(value.size()), value.data());
         return Usage(argv[0]);
       }
@@ -427,8 +407,6 @@ int main(int argc, char** argv) {
     }
     std::printf("  \"variant\": \"%s\",\n",
                 VariantName(chase_options.variant));
-    std::printf("  \"engine\": \"%s\",\n",
-                bddfc::ToString(resolved_exec.engine));
     std::printf("  \"schedule\": \"%s\",\n",
                 bddfc::ToString(resolved_exec.schedule));
     std::printf("  \"strategy\": \"%s\",\n", bddfc::ToString(strategy));
@@ -519,10 +497,9 @@ int main(int argc, char** argv) {
               reasoner.rules().size());
   std::printf("instance: %s (%zu atoms incl. the implicit top fact)\n",
               instance_path.c_str(), reasoner.database().size());
-  std::printf("variant:  %s, engine: %s, schedule: %s, "
+  std::printf("variant:  %s, schedule: %s, "
               "threads: %zu, max steps: %zu, max atoms: %zu\n",
               VariantName(chase_options.variant),
-              bddfc::ToString(resolved_exec.engine),
               bddfc::ToString(resolved_exec.schedule), reasoner.num_threads(),
               resolved_exec.max_steps, resolved_exec.max_atoms);
 

@@ -11,7 +11,7 @@
 //       instance, Section 4.1).
 //   nocliques propertyp <rules-file> <db-file> [--e PRED] [--steps N]
 //       Print the Property (p) curve (max tournament vs loop, per step).
-//   nocliques explain <rules-file> <db-file> <atom> [--steps N]
+//   nocliques explain <rules-file> <db-file> <atom> [--steps N] [--variant V]
 //       Chase, then print the derivation tree of an atom (e.g. "E(a,b)").
 //
 // Exit code 0 on success, 1 on usage/parse errors, 2 when an analysis
@@ -40,10 +40,23 @@ struct Flags {
   std::size_t steps = 6;
   std::size_t depth = 10;
   std::string e = "E";
-  std::string variant = "oblivious";
+  ChaseVariant variant = ChaseVariant::kOblivious;
   std::vector<std::string> positional;
   bool ok = true;
 };
+
+bool ParseVariant(const std::string& name, ChaseVariant* out) {
+  if (name == "oblivious") {
+    *out = ChaseVariant::kOblivious;
+  } else if (name == "semi") {
+    *out = ChaseVariant::kSemiOblivious;
+  } else if (name == "restricted") {
+    *out = ChaseVariant::kRestricted;
+  } else {
+    return false;
+  }
+  return true;
+}
 
 Flags ParseFlags(int argc, char** argv, int first) {
   Flags flags;
@@ -67,7 +80,13 @@ Flags ParseFlags(int argc, char** argv, int first) {
     } else if (arg == "--e") {
       if (const char* v = next()) flags.e = v;
     } else if (arg == "--variant") {
-      if (const char* v = next()) flags.variant = v;
+      const char* v = next();
+      if (v != nullptr && !ParseVariant(v, &flags.variant)) {
+        std::fprintf(stderr,
+                     "unknown --variant \"%s\": expected oblivious, semi or "
+                     "restricted\n", v);
+        flags.ok = false;
+      }
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       flags.ok = false;
@@ -110,12 +129,6 @@ std::optional<Instance> LoadInstance(Universe* u, const std::string& path) {
   return db;
 }
 
-ChaseVariant VariantOf(const std::string& name) {
-  if (name == "semi") return ChaseVariant::kSemiOblivious;
-  if (name == "restricted") return ChaseVariant::kRestricted;
-  return ChaseVariant::kOblivious;
-}
-
 int CmdChase(const Flags& flags) {
   Universe u;
   auto rules = LoadRules(&u, flags.positional[0]);
@@ -123,7 +136,7 @@ int CmdChase(const Flags& flags) {
   auto db = LoadInstance(&u, flags.positional[1]);
   if (!db) return 1;
   ObliviousChase chase(*db, *rules,
-                       {.variant = VariantOf(flags.variant),
+                       {.variant = flags.variant,
                         .exec = {.max_steps = flags.steps,
                                  .max_atoms = 500000}});
   chase.Run();
@@ -220,7 +233,9 @@ int CmdExplain(const Flags& flags) {
     return 1;
   }
   ObliviousChase chase(*db, *rules,
-                       {.exec = {.max_steps = flags.steps, .max_atoms = 500000}});
+                       {.variant = flags.variant,
+                        .exec = {.max_steps = flags.steps,
+                                 .max_atoms = 500000}});
   chase.Run();
   std::printf("%s",
               chase.Explain(atom_instance->atoms().back()).c_str());
@@ -235,7 +250,8 @@ int Usage() {
       "  rewrite <rules> <query> [--depth N]\n"
       "  analyze <rules> [--e PRED] [--steps N] [--depth N]\n"
       "  propertyp <rules> <db> [--e PRED] [--steps N]\n"
-      "  explain <rules> <db> <atom> [--steps N]\n");
+      "  explain <rules> <db> <atom> [--steps N]\n"
+      "          [--variant oblivious|semi|restricted]\n");
   return 1;
 }
 
