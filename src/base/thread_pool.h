@@ -23,7 +23,6 @@
 #ifndef BDDFC_BASE_THREAD_POOL_H_
 #define BDDFC_BASE_THREAD_POOL_H_
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -101,39 +100,6 @@ class ThreadPool {
 void ParallelFor(ThreadPool* pool, std::size_t begin, std::size_t end,
                  std::size_t grain,
                  const std::function<void(std::size_t, std::size_t)>& chunk_fn);
-
-/// Sorts `*v` by `less` using `pool`: one slice per execution thread is
-/// sorted concurrently, then neighbouring slices merge pairwise, the
-/// merges of each round running concurrently too. The result is the one
-/// std::sort gives whenever elements comparing equal are interchangeable
-/// (the chase's canonical trigger order has that property). A null pool,
-/// zero workers or a short vector sort inline.
-template <typename T, typename Less>
-void ParallelSort(ThreadPool* pool, std::vector<T>* v, const Less& less) {
-  constexpr std::size_t kMinParallel = 4096;  // below: pool trips dominate
-  const std::size_t parts = pool == nullptr ? 1 : pool->num_workers() + 1;
-  if (parts == 1 || v->size() < kMinParallel) {
-    std::sort(v->begin(), v->end(), less);
-    return;
-  }
-  const auto at = [v, parts](std::size_t k) {
-    return v->begin() +
-           static_cast<std::ptrdiff_t>(v->size() * std::min(k, parts) / parts);
-  };
-  ParallelFor(pool, 0, parts, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) std::sort(at(k), at(k + 1), less);
-  });
-  for (std::size_t width = 1; width < parts; width *= 2) {
-    const std::size_t merges = (parts + 2 * width - 1) / (2 * width);
-    ParallelFor(pool, 0, merges, 1, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t m = lo; m < hi; ++m) {
-        const std::size_t first = 2 * width * m;
-        std::inplace_merge(at(first), at(first + width),
-                           at(first + 2 * width), less);
-      }
-    });
-  }
-}
 
 }  // namespace bddfc
 

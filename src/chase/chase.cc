@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "base/check.h"
 #include "base/hash.h"
@@ -99,20 +100,18 @@ std::size_t ObliviousChase::TriggersFired() const {
 
 ObliviousChase::~ObliviousChase() = default;
 
-ObliviousChase::TriggerKey ObliviousChase::IdentityOf(
-    const TriggerCandidate& candidate) const {
-  TriggerKey key{candidate.rule_index, {}};
+void ObliviousChase::IdentityOf(const TriggerCandidate& candidate,
+                                TriggerKey* key) const {
+  key->first = candidate.rule_index;
   if (options_.variant == ChaseVariant::kSemiOblivious) {
-    const std::vector<std::size_t>& positions =
-        frontier_positions_[candidate.rule_index];
-    key.second.reserve(positions.size());
-    for (std::size_t p : positions) {
-      key.second.push_back(candidate.body_image[p]);
+    key->second.clear();
+    for (std::size_t p : frontier_positions_[candidate.rule_index]) {
+      key->second.push_back(candidate.body_image[p]);
     }
   } else {
-    key.second = candidate.body_image;
+    key->second.assign(candidate.body_image.begin(),
+                       candidate.body_image.end());
   }
-  return key;
 }
 
 bool ObliviousChase::HeadSatisfied(const TriggerCandidate& candidate) const {
@@ -156,19 +155,23 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   const std::vector<RuleJob> jobs =
       scheduler_->PlanRound(!delta_mode, delta_begin, instance_);
   // The ledger probe; it runs on the pool workers while fired_ is frozen.
-  // The firing loop below re-checks every key, so the probe only spares
-  // the sort and the loop the candidates that fired in earlier steps
-  // (semi-oblivious repeats of a frontier image, the naive oracle's
-  // re-enumeration, a delta re-armed by AddBaseFacts).
+  // Each thread refills one scratch key, so a probe allocates only while
+  // that key grows to the widest identity. The firing loop below re-checks
+  // every key, so the probe only spares the sort and the loop the
+  // candidates that fired in earlier steps (semi-oblivious repeats of a
+  // frontier image, the naive oracle's re-enumeration, a delta re-armed by
+  // AddBaseFacts).
   const auto keep = [this](const TriggerCandidate& c) {
-    return fired_.find(IdentityOf(c)) == fired_.end();
+    thread_local TriggerKey key;
+    IdentityOf(c, &key);
+    return fired_.find(key) == fired_.end();
   };
   BDDFC_OBS_SPAN(enumerate_span, "chase", "chase.enumerate");
   if (options_.naive_enumeration) {
     for (const RuleJob& job : jobs) {
       BDDFC_CHECK(job.full);
       const std::vector<Term>& vars = rules_[job.rule_index].body_vars();
-      // One scratch candidate per job: old triggers allocate nothing.
+      // One scratch candidate per job; only kept triggers are copied out.
       TriggerCandidate c{job.rule_index, std::vector<Term>(vars.size())};
       rule_searches_[job.rule_index].ForEach({}, [&](const Substitution& h) {
         for (std::size_t i = 0; i < vars.size(); ++i) {
@@ -190,19 +193,18 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   // with the restraint-topological firing rank: restrainers fire first,
   // so the restricted variant sees alternative head matches in time to
   // skip the triggers they pre-empt (still deterministic — rank, then the
-  // canonical key). Candidates comparing equal are identical, so sorting
-  // on the pool lands on the serial order.
+  // canonical key).
   const std::vector<std::size_t>* ranks = scheduler_->FiringRanks();
   if (ranks == nullptr) {
-    SortCanonical(pool_, &candidates);
+    std::sort(candidates.begin(), candidates.end(), CanonicalTriggerLess);
   } else {
-    ParallelSort(pool_, &candidates,
-                 [ranks](const TriggerCandidate& a, const TriggerCandidate& b) {
-                   if ((*ranks)[a.rule_index] != (*ranks)[b.rule_index]) {
-                     return (*ranks)[a.rule_index] < (*ranks)[b.rule_index];
-                   }
-                   return CanonicalTriggerLess(a, b);
-                 });
+    std::sort(candidates.begin(), candidates.end(),
+              [ranks](const TriggerCandidate& a, const TriggerCandidate& b) {
+                if ((*ranks)[a.rule_index] != (*ranks)[b.rule_index]) {
+                  return (*ranks)[a.rule_index] < (*ranks)[b.rule_index];
+                }
+                return CanonicalTriggerLess(a, b);
+              });
   }
 
   // Restricted precheck: satisfaction is monotone (the instance only
@@ -251,7 +253,9 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
     // Claims the key: duplicates within the step (possible under the
     // semi-oblivious identity) are skipped, keeping the canonically
     // smallest trigger as the representative.
-    if (!fired_.insert(IdentityOf(candidate)).second) continue;
+    TriggerKey key;
+    IdentityOf(candidate, &key);
+    if (!fired_.insert(std::move(key)).second) continue;
 
     if (options_.variant == ChaseVariant::kRestricted) {
       // Fire only if no extension of h already satisfies the head. The

@@ -277,9 +277,10 @@ class ObliviousChase {
   };
   StepOutcome StepOnce();
 
-  // The ledger identity of `candidate`: its rule plus the full body image
-  // (oblivious, restricted) or the frontier image (semi-oblivious).
-  TriggerKey IdentityOf(const TriggerCandidate& candidate) const;
+  // Overwrites `*key` with the ledger identity of `candidate`: its rule
+  // plus the full body image (oblivious, restricted) or the frontier image
+  // (semi-oblivious). Reuses the key's capacity.
+  void IdentityOf(const TriggerCandidate& candidate, TriggerKey* key) const;
 
   // Restricted variant: true iff the head of `candidate`'s rule is already
   // satisfied by an extension of the trigger's frontier image. Read-only

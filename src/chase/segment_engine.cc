@@ -321,8 +321,8 @@ void SegmentEngine::ExecuteAnchor(std::size_t rule_index,
   }
 
   // Project each surviving tuple onto the rule's canonical body image and
-  // keep it unless the ledger already holds it. The probe reuses one
-  // scratch candidate, so rejected tuples allocate nothing.
+  // keep it unless the ledger already holds it. Projection reuses one
+  // scratch candidate; only kept candidates are copied out.
   TriggerCandidate candidate{rule_index, {}};
   candidate.body_image.resize(anchor_plan.body_var_slots.size());
   for (std::size_t i = 0; i < count; ++i) {

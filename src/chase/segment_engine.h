@@ -62,20 +62,13 @@ struct TriggerCandidate {
   std::vector<Term> body_image;
 };
 
-/// The canonical (rule, body-image) firing order.
+/// The canonical (rule, body-image) firing order. Candidates comparing
+/// equal are structurally identical, so sorting by it is deterministic
+/// regardless of the enumeration (and merge) order.
 inline bool CanonicalTriggerLess(const TriggerCandidate& a,
                                  const TriggerCandidate& b) {
   if (a.rule_index != b.rule_index) return a.rule_index < b.rule_index;
   return a.body_image < b.body_image;
-}
-
-/// Sorts candidates into the canonical firing order, on `pool` when it is
-/// non-null. Candidates comparing equal are structurally identical, so the
-/// result is deterministic regardless of input (i.e. enumeration/merge)
-/// order and of the pool.
-inline void SortCanonical(ThreadPool* pool,
-                          std::vector<TriggerCandidate>* candidates) {
-  ParallelSort(pool, candidates, CanonicalTriggerLess);
 }
 
 /// One stage of a compiled per-anchor join plan.

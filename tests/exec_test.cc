@@ -1,14 +1,12 @@
 // Tests for the parallel execution building blocks: the work-stealing
-// ThreadPool, ParallelFor and ParallelSort in src/base, and the
-// pool-parallel HomSearch queries (which must be bit-identical to their
-// serial counterparts).
+// ThreadPool and ParallelFor in src/base, and the pool-parallel HomSearch
+// queries (which must be bit-identical to their serial counterparts).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -99,24 +97,6 @@ TEST(ParallelForTest, NullPoolAndEmptyRangeAreFine) {
   });
   EXPECT_EQ(calls, 1);  // inline: the whole range in one chunk
   EXPECT_EQ(sum, 4950u);
-}
-
-TEST(ParallelSortTest, MatchesStdSort) {
-  Rng rng(42);
-  for (std::size_t n : {0u, 100u, 10000u, 50001u}) {
-    std::vector<std::uint32_t> input(n);
-    for (std::uint32_t& x : input) {
-      x = static_cast<std::uint32_t>(rng.Below(n / 4 + 1));  // duplicates
-    }
-    std::vector<std::uint32_t> expected = input;
-    std::sort(expected.begin(), expected.end());
-    for (std::size_t workers : {0u, 1u, 3u, 6u}) {
-      ThreadPool pool(workers);
-      std::vector<std::uint32_t> sorted = input;
-      ParallelSort(&pool, &sorted, std::less<std::uint32_t>());
-      EXPECT_EQ(sorted, expected) << "n " << n << " workers " << workers;
-    }
-  }
 }
 
 // Builds a mid-sized random instance and a connected CQ, then checks every

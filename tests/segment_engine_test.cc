@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "chase/segment_engine.h"
@@ -104,7 +105,7 @@ TEST(SegmentPlanTest, RepeatedVariableBecomesDupCheck) {
 
 // --- Canonical firing order -------------------------------------------------
 
-TEST(SortCanonicalTest, OrdersByRuleThenBodyImage) {
+TEST(CanonicalTriggerLessTest, OrdersByRuleThenBodyImage) {
   Universe u;
   Term a = u.InternConstant("a");
   Term b = u.InternConstant("b");
@@ -112,7 +113,7 @@ TEST(SortCanonicalTest, OrdersByRuleThenBodyImage) {
   candidates.push_back({1, {a}});
   candidates.push_back({0, {b, a}});
   candidates.push_back({0, {a, b}});
-  SortCanonical(/*pool=*/nullptr, &candidates);
+  std::sort(candidates.begin(), candidates.end(), CanonicalTriggerLess);
   EXPECT_EQ(candidates[0].rule_index, 0u);
   EXPECT_EQ(candidates[0].body_image, (std::vector<Term>{a, b}));
   EXPECT_EQ(candidates[1].body_image, (std::vector<Term>{b, a}));
