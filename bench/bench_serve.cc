@@ -13,11 +13,21 @@
 // sustained QPS and the client/writer thread counts as first-class JSON
 // fields (Context::SetQps and friends), so BENCH_serve.json carries the
 // throughput-vs-concurrency trajectory.
+//
+// publish_scaling: publish latency against KB size. Chain KBs of ~10^4,
+// 10^5 and 10^6 atoms each take 20 one-edge ApplyFacts, timed one by one;
+// per KB the case reports publish/<atoms>/p50_ms, the final epoch's size
+// (publish/<atoms>/atoms) and the fresh replicas the manager cloned
+// (publish/<atoms>/clones). A publish recycles a retired replica, so its
+// cost follows the batch, not the KB: the p50 should stay flat from 10^4
+// to 10^6 atoms. Each KB's final epoch must match a one-shot chase of the
+// same base facts (atom count and answers), or the case fails.
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -26,11 +36,13 @@
 #include "api/reasoner.h"
 #include "bench/harness.h"
 #include "logic/parser.h"
+#include "obs/obs.h"
 #include "serve/snapshot.h"
 
 namespace {
 
 using bddfc::AnswerTuple;
+using bddfc::Atom;
 using bddfc::ChaseVariant;
 using bddfc::Cq;
 using bddfc::Instance;
@@ -38,6 +50,7 @@ using bddfc::PreparedQuery;
 using bddfc::Reasoner;
 using bddfc::ReasonerOptions;
 using bddfc::RuleSet;
+using bddfc::Term;
 using bddfc::Universe;
 using bddfc::serve::EpochSnapshot;
 using bddfc::serve::SnapshotManager;
@@ -70,16 +83,25 @@ std::vector<AnswerTuple> Sorted(std::vector<AnswerTuple> answers) {
   return answers;
 }
 
+// Over a chain of n edges the rules derive about 3n atoms (R, T and S).
+constexpr char kChainRules[] =
+    "E(x,y) -> R(x,y)\n"
+    "E(x,y), E(y,z) -> T(x,z)\n"
+    "T(x,y) -> S(x,w)\n";
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 int RunMixed(bddfc::bench::Context& ctx, std::size_t clients) {
   constexpr int kBaseEdges = 48;
   constexpr int kBatches = 8;
   constexpr int kEdgesPerBatch = 4;
 
   Universe universe;
-  RuleSet rules = bddfc::MustParseRuleSet(&universe,
-                                          "E(x,y) -> R(x,y)\n"
-                                          "E(x,y), E(y,z) -> T(x,z)\n"
-                                          "T(x,y) -> S(x,w)\n");
+  RuleSet rules = bddfc::MustParseRuleSet(&universe, kChainRules);
   Instance base =
       bddfc::MustParseInstance(&universe, ChainFacts(0, kBaseEdges));
   // Pre-parsed batches: the writer thread must not intern symbols (the
@@ -194,10 +216,90 @@ int RunMixed(bddfc::bench::Context& ctx, std::size_t clients) {
   return 0;
 }
 
+// One publish_scaling point (see the file comment): a chain of about
+// target_atoms / 4 edges, then 20 one-edge publishes. Returns false when
+// the final epoch disagrees with a one-shot chase.
+bool RunPublishPoint(bddfc::bench::Context& ctx, int target_atoms) {
+  constexpr int kPublishes = 20;
+  const int edges = target_atoms / 4;
+
+  Universe universe;
+  RuleSet rules = bddfc::MustParseRuleSet(&universe, kChainRules);
+  const bddfc::PredicateId e = universe.InternPredicate("E", 2);
+  // Every constant is interned up front: the writer never interns.
+  std::vector<Term> nodes;
+  nodes.reserve(edges + kPublishes + 1);
+  for (int i = 0; i <= edges + kPublishes; ++i) {
+    nodes.push_back(universe.InternConstant("c" + std::to_string(i)));
+  }
+  const auto edge = [&](int i) { return Atom(e, {nodes[i], nodes[i + 1]}); };
+  Instance base(&universe);
+  {
+    std::vector<Atom> chain;
+    chain.reserve(edges);
+    for (int i = 0; i < edges; ++i) chain.push_back(edge(i));
+    base.AddAtoms(chain);
+  }
+  ReasonerOptions options = ServeOptions();
+  options.chase.exec.max_atoms = 8 * static_cast<std::size_t>(target_atoms);
+
+  bddfc::obs::Counter* clones =
+      bddfc::obs::Metrics().GetCounter("serve.snapshot_clones");
+  const std::uint64_t clones_before = clones->Value();
+  std::vector<double> publish_ms;
+  std::shared_ptr<const EpochSnapshot> final_snap;
+  {
+    SnapshotManager manager(base, rules, options);
+    for (int p = 0; p < kPublishes; ++p) {
+      const std::vector<Atom> batch = {edge(edges + p)};
+      const auto start = std::chrono::steady_clock::now();
+      manager.ApplyFacts(batch);
+      publish_ms.push_back(MsSince(start));
+    }
+    final_snap = manager.Pin();
+  }
+  std::sort(publish_ms.begin(), publish_ms.end());
+  const std::string key = "publish/" + std::to_string(target_atoms);
+  ctx.Metric(key + "/p50_ms", publish_ms[publish_ms.size() / 2]);
+  ctx.Metric(key + "/atoms", static_cast<double>(final_snap->atoms));
+  ctx.Metric(key + "/clones",
+             static_cast<double>(clones->Value() - clones_before));
+
+  // The oracle runs once the manager is gone, so the two chases never
+  // coexist in memory.
+  for (int p = 0; p < kPublishes; ++p) base.AddAtom(edge(edges + p));
+  Reasoner oracle(base, rules, options);
+  const Instance& expected = oracle.Materialize();
+  bool same = final_snap->saturated && oracle.stats().chase_saturated &&
+              final_snap->atoms == expected.size();
+  for (const char* text :
+       {"?(x,y) :- R(x,y)", "?(x,y) :- T(x,y)", "?(x) :- S(x,w)"}) {
+    const PreparedQuery plan =
+        oracle.PrepareDetached(bddfc::MustParseCq(&universe, text));
+    const bool agree = Sorted(plan.AllOn(*final_snap->materialization)) ==
+                       Sorted(plan.AllOn(expected));
+    same = same && agree;
+  }
+  if (!same) {
+    std::fprintf(stderr,
+                 "bench_serve: publish_scaling at %d atoms: the final epoch "
+                 "diverged from the one-shot chase\n",
+                 target_atoms);
+  }
+  return same;
+}
+
 }  // namespace
 
 BDDFC_BENCH_EXPERIMENT(mixed_clients_1) { return RunMixed(ctx, 1); }
 BDDFC_BENCH_EXPERIMENT(mixed_clients_4) { return RunMixed(ctx, 4); }
 BDDFC_BENCH_EXPERIMENT(mixed_clients_8) { return RunMixed(ctx, 8); }
+
+BDDFC_BENCH_EXPERIMENT(publish_scaling) {
+  for (const int atoms : {10000, 100000, 1000000}) {
+    if (!RunPublishPoint(ctx, atoms)) return 1;
+  }
+  return 0;
+}
 
 BDDFC_BENCH_MAIN();

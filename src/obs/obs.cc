@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 
@@ -242,6 +243,21 @@ void Histogram::Observe(std::uint64_t value) {
 std::uint64_t Histogram::Min() const {
   const std::uint64_t v = min_.load(std::memory_order_relaxed);
   return v == ~0ull ? 0 : v;
+}
+
+std::uint64_t Histogram::Quantile(double q) const {
+  const std::uint64_t count = Count();
+  if (count == 0) return 0;
+  const double n = static_cast<double>(count);
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(std::clamp(q, 0.0, 1.0) * n)));
+  std::uint64_t seen = 0;
+  for (int i = 0; i < kBuckets - 1; ++i) {
+    seen += BucketCount(i);
+    // Bucket i holds the values of bit width i: [2^(i-1), 2^i - 1].
+    if (seen >= rank) return std::min((std::uint64_t{1} << i) - 1, Max());
+  }
+  return Max();
 }
 
 Counter* MetricsRegistry::GetCounter(std::string_view name) {

@@ -274,6 +274,10 @@ class Histogram {
   std::uint64_t BucketCount(int i) const {
     return buckets_[i].load(std::memory_order_relaxed);
   }
+  /// Upper bound of the q-quantile (q in [0, 1]): the largest value of the
+  /// log2 bucket holding the ceil(q * Count())-th smallest observation,
+  /// capped at Max(); 0 when empty.
+  std::uint64_t Quantile(double q) const;
 
  private:
   std::atomic<std::uint64_t> count_{0};

@@ -25,10 +25,19 @@ namespace serve {
 
 namespace {
 
-double MsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
+std::uint64_t UsSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
+// Wall time per request line, in microseconds: most requests finish well
+// under a millisecond. `status` reports its quantiles.
+obs::Histogram* RequestLatency() {
+  static obs::Histogram* request_us =
+      obs::Metrics().GetHistogram("serve.request_us");
+  return request_us;
 }
 
 std::string Located(const ParseError& error) {
@@ -94,8 +103,6 @@ std::string Server::HandleLine(Session& session, std::string_view line) {
   requests_total_.fetch_add(1, std::memory_order_relaxed);
   static obs::Counter* requests = obs::Metrics().GetCounter("serve.requests");
   static obs::Counter* errors = obs::Metrics().GetCounter("serve.errors");
-  static obs::Histogram* request_ms =
-      obs::Metrics().GetHistogram("serve.request_ms");
   requests->Add(1);
   BDDFC_OBS_SPAN(span, "serve", "serve.request");
   span.Arg("session", session.id());
@@ -120,7 +127,7 @@ std::string Server::HandleLine(Session& session, std::string_view line) {
     errors_total_.fetch_add(1, std::memory_order_relaxed);
     errors->Add(1);
   }
-  request_ms->Observe(static_cast<std::uint64_t>(MsSince(start)));
+  RequestLatency()->Observe(UsSince(start));
   return reply;
 }
 
@@ -171,6 +178,11 @@ std::string Server::HandleStatus(const Request& req) {
             JsonValue::Int(static_cast<std::int64_t>(requests_total())));
   reply.Set("errors",
             JsonValue::Int(static_cast<std::int64_t>(errors_total())));
+  const obs::Histogram* latency = RequestLatency();
+  const auto p50 = static_cast<std::int64_t>(latency->Quantile(0.5));
+  const auto p99 = static_cast<std::int64_t>(latency->Quantile(0.99));
+  reply.Set("request_p50_us", JsonValue::Int(p50));
+  reply.Set("request_p99_us", JsonValue::Int(p99));
   return reply.Dump();
 }
 
@@ -256,10 +268,11 @@ std::string Server::HandleQuery(Session& session, const Request& req) {
     plan = std::make_shared<const PreparedQuery>(std::move(*ad_hoc));
   }
 
-  // The read path: pin the current epoch (one atomic load — never the
-  // writer lock) and evaluate against its immutable materialization. The
-  // pinned snapshot stays alive for the whole evaluation even if the
-  // writer publishes newer epochs meanwhile.
+  // The read path: pin the current epoch (a pointer copy under the pin
+  // mutex — never the writer lock) and evaluate against its read-only
+  // replica of the materialization. The pinned snapshot stays alive for
+  // the whole evaluation even if the writer publishes newer epochs
+  // meanwhile.
   std::shared_ptr<const EpochSnapshot> snap = snapshots_.Pin();
   const Instance& target = *snap->materialization;
   BDDFC_OBS_SPAN(span, "serve", "serve.query");

@@ -6,11 +6,16 @@
 // Request flow: a connection thread frames lines (LineFramer) and hands
 // each frame to the dispatcher, which executes it on the shared ThreadPool
 // (serial fallback when the pool is absent) and writes exactly one reply
-// line back. Queries pin the current EpochSnapshot (one atomic load) and
-// evaluate PreparedQuery::AllOn/CountOn/AskOn against the pinned immutable
-// materialization — the read path takes no lock shared with the writer.
-// "add" batches go through SnapshotManager::ApplyFacts (single writer
-// lock, incremental chase, next epoch published).
+// line back. Queries pin the current EpochSnapshot (a shared_ptr copy
+// under a mutex the writer holds only to swap that pointer) and evaluate
+// PreparedQuery::AllOn/CountOn/AskOn against the pinned epoch's sealed,
+// read-only replica of the materialization — the read path never waits on
+// the writer's work. "add" batches go through SnapshotManager::ApplyFacts
+// (single writer lock, incremental chase, next epoch published by bringing
+// a retired replica up to date, or by a fresh clone when none is free).
+//
+// `status` reports the p50/p99 request latency (upper bounds of the log2
+// buckets of the process-wide `serve.request_us` histogram).
 //
 // Universe thread model (the one mutable structure queries and writes
 // share): symbol interning (parsing queries/facts) takes `universe_mu_`

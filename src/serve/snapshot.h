@@ -1,29 +1,44 @@
-// Epoch-based copy-on-write snapshots over one Reasoner session: the
-// concurrency core of bddfc_server.
+// Epoch snapshots over one Reasoner session: the concurrency core of
+// bddfc_server.
 //
 // The FactStore is append-only and the incremental chase is resumable
 // (Reasoner::AddFacts drives ObliviousChase::AddBaseFacts), so the server's
 // read/write split is clean:
 //
 //   * The single writer takes `writer_mu_`, folds a facts batch into the
-//     session (incremental chase, never from scratch), deep-copies the
-//     resulting materialization via FactStore::Clone() — index structures
-//     and sorted-run layout included, no re-hash, no re-seal — and
-//     publishes it as the next EpochSnapshot through one atomic
-//     shared_ptr store.
-//   * Readers Pin() the current snapshot with one atomic shared_ptr load —
-//     they never touch the writer lock — and evaluate prepared queries
-//     against the pinned immutable Instance (concurrent const queries are
-//     already the FactStore contract). A pinned snapshot stays alive for
-//     as long as any reader holds it, however many epochs the writer has
-//     published since.
+//     session (incremental chase, never from scratch) and publishes the
+//     result as the next EpochSnapshot. Each snapshot owns a *replica* of
+//     the materialization: a standalone, read-only Instance holding the
+//     live store's first `atoms` atoms in the live store's order.
+//   * Publishing costs O(Δ), not O(store): a retired epoch's replica comes
+//     back to the manager once no reader holds it, and the next publish
+//     brings it up to date by appending the live atoms it lacks. Both
+//     stores are append-only in the same order, so the result holds exactly
+//     the live atom sequence and answers every query identically. The
+//     return path is the materialization's deleter, which parks the replica
+//     in a one-slot spare through a weak_ptr (a snapshot that outlives its
+//     manager just frees its replica); the slot keeps the newest replica
+//     returned and frees the rest. A publish deep-copies the live store
+//     with FactStore::Clone() only when the slot is empty: at epoch 0, at
+//     epoch 1, and after a reader held an epoch across a publish.
+//   * The writer seals a replica's sorted runs before publishing it, so a
+//     published store is truly read-only: readers never take its seal lock
+//     (concurrent const queries are the FactStore contract).
+//   * Readers Pin() the current snapshot by copying one shared_ptr under
+//     `current_mu_`; the writer swaps it under the same mutex and drops the
+//     retired epoch only after unlocking, so a replica's return never runs
+//     under the lock. The critical sections are a pointer copy, so readers
+//     and the writer never wait on each other's work. A pinned snapshot
+//     stays alive for as long as any reader holds it, however many epochs
+//     the writer has published since.
 //
-// Readers therefore never block writers and writers never block readers;
-// each reply reports the epoch its answers were computed at, and answers
-// at epoch e are exactly the answers of a one-shot chase of the base facts
-// as of epoch e (the AddBaseFacts ≡ from-scratch equivalence proven in the
-// API tests; tests/serve_test.cc re-checks it through this layer under
-// concurrency).
+// Memory: three copies of the materialization at steady state (live,
+// current and spare), the same peak as copying the current epoch on every
+// publish. Each reply reports the epoch its answers were computed at, and
+// answers at epoch e are exactly the answers of a one-shot chase of the
+// base facts as of epoch e (the AddBaseFacts ≡ from-scratch equivalence
+// proven in the API tests; tests/serve_test.cc re-checks it through this
+// layer under concurrency and on both publish paths).
 //
 // Universe contract (see server.h): the chase only *reads* interned
 // symbols (arity checks) and invents nulls through the atomic null
@@ -34,7 +49,6 @@
 #ifndef BDDFC_SERVE_SNAPSHOT_H_
 #define BDDFC_SERVE_SNAPSHOT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -70,10 +84,11 @@ class SnapshotManager {
   SnapshotManager(const SnapshotManager&) = delete;
   SnapshotManager& operator=(const SnapshotManager&) = delete;
 
-  /// The current snapshot: one atomic load, wait-free with respect to the
-  /// writer. Never null after construction.
+  /// The current snapshot: a shared_ptr copy under a mutex the writer
+  /// holds only to swap the pointer. Never null after construction.
   std::shared_ptr<const EpochSnapshot> Pin() const {
-    return current_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(current_mu_);
+    return current_;
   }
 
   struct ApplyResult {
@@ -96,11 +111,19 @@ class SnapshotManager {
   const Reasoner& reasoner() const { return reasoner_; }
 
  private:
+  // The one-slot holder retired replicas return to (snapshot.cc).
+  struct Spare;
+
   std::shared_ptr<const EpochSnapshot> BuildSnapshot(std::uint64_t epoch);
+  // A sealed replica of the live materialization: the spare brought up to
+  // date, or a fresh clone when the slot is empty.
+  std::shared_ptr<const Instance> Replicate();
 
   Reasoner reasoner_;
   std::mutex writer_mu_;  // serializes ApplyFacts; readers never take it
-  std::atomic<std::shared_ptr<const EpochSnapshot>> current_;
+  std::shared_ptr<Spare> spare_;
+  mutable std::mutex current_mu_;  // guards current_ (Pin and the swap)
+  std::shared_ptr<const EpochSnapshot> current_;
 };
 
 }  // namespace serve

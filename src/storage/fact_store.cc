@@ -10,6 +10,17 @@ namespace {
 
 constexpr std::size_t kInitialSlots = 64;  // power of two
 
+// Makes room for `extra` more elements. A batch larger than the current
+// capacity (a bulk load) gets exactly its size; smaller appends double the
+// capacity, so a long run of small batches costs amortized O(1) per element
+// instead of one whole-vector reallocation per batch.
+template <class T>
+void ReserveFor(std::vector<T>* v, std::size_t extra) {
+  const std::size_t needed = v->size() + extra;
+  if (needed <= v->capacity()) return;
+  v->reserve(std::max(needed, 2 * v->capacity()));
+}
+
 }  // namespace
 
 const std::vector<std::uint32_t> FactStore::kEmptyIndex;
@@ -109,7 +120,7 @@ bool FactStore::AddAtom(const Atom& atom) {
 
 void FactStore::AddAtoms(const Atom* begin, const Atom* end) {
   const std::size_t count = static_cast<std::size_t>(end - begin);
-  atoms_.reserve(atoms_.size() + count);
+  ReserveFor(&atoms_, count);
   GrowSlots(count);  // one rehash for the whole batch, not log n
   for (const Atom* a = begin; a != end; ++a) AddAtom(*a);
 }
@@ -128,7 +139,7 @@ void FactStore::SealTable(PredTable* table) {
     const std::vector<Term>& column = table->columns[pos];
     std::vector<std::uint32_t>& perm = table->perms[pos];
     const std::size_t run_begin = perm.size();
-    perm.reserve(n);
+    ReserveFor(&perm, n - run_begin);
     for (std::uint32_t r = table->sealed; r < n; ++r) perm.push_back(r);
     std::sort(perm.begin() + run_begin, perm.end(),
               [&column](std::uint32_t a, std::uint32_t b) {

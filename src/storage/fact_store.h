@@ -285,10 +285,11 @@ class FactStore {
   /// and the exact sorted-run layout (no re-seal, no re-merge: NumRuns
   /// agrees with the original), so the copy answers every query
   /// identically to the original. Much faster than replaying atoms()
-  /// through AddAtoms on a fresh store; this is the epoch-snapshot path of
-  /// the server (src/serve/snapshot.h). The copy is fully independent:
-  /// mutating either store never affects the other. Thread-safe against
-  /// concurrent const queries, like any other const operation.
+  /// through AddAtoms on a fresh store; the server makes a fresh epoch
+  /// replica this way when it has no retired one to bring up to date
+  /// (src/serve/snapshot.h). The copy is fully independent: mutating
+  /// either store never affects the other. Thread-safe against concurrent
+  /// const queries, like any other const operation.
   std::unique_ptr<FactStore> Clone() const;
 
   /// Adds an atom; returns true if it was not already present.
@@ -296,9 +297,11 @@ class FactStore {
 
   /// Bulk append over a contiguous range (no intermediate vector needed to
   /// batch a slice of an existing sequence). Grows the atom sequence and
-  /// the membership table to the batch's final size once instead of
-  /// rehashing along the way; runs stay unsealed until the first query, so
-  /// a store that is only ever scanned via atoms() never sorts anything.
+  /// the membership table once per batch instead of along the way: to the
+  /// exact size for a batch larger than the current capacity (a bulk
+  /// load), geometrically otherwise, so many small appends stay O(batch)
+  /// each. Runs stay unsealed until the first query, so a store that is
+  /// only ever scanned via atoms() never sorts anything.
   void AddAtoms(const Atom* begin, const Atom* end);
 
   void AddAtoms(const std::vector<Atom>& atoms) {
@@ -340,6 +343,11 @@ class FactStore {
   /// is beyond its arity. Thread-safe against concurrent queries, not
   /// against concurrent mutation — the usual thread model.
   SortedRunsView SortedRuns(PredicateId pred, int pos) const;
+
+  /// Seals every unsealed tail into sorted runs now, as the first index
+  /// query after a mutation would. A store sealed before it is handed to
+  /// concurrent readers never takes the seal lock on their queries.
+  void SealRuns() const { EnsureRuns(); }
 
   /// Number of unmerged sorted runs of `pred`'s tables as of the last
   /// seal (diagnostics and the merge-policy tests; 0 when the predicate

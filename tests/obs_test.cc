@@ -277,6 +277,30 @@ TEST_F(ObsTest, HistogramTracksExactMoments) {
   EXPECT_EQ(hist.BucketCount(obs::Histogram::kBuckets - 1), 1u);
 }
 
+TEST_F(ObsTest, HistogramQuantileIsTheBucketUpperBound) {
+  obs::Histogram hist;
+  EXPECT_EQ(hist.Quantile(0.5), 0u);  // empty
+  // 90 observations of 5 (bucket [4, 7]) and 10 of 100 (bucket [64, 127]).
+  for (int i = 0; i < 90; ++i) hist.Observe(5);
+  for (int i = 0; i < 10; ++i) hist.Observe(100);
+  EXPECT_EQ(hist.Quantile(0.0), 7u);
+  EXPECT_EQ(hist.Quantile(0.5), 7u);
+  EXPECT_EQ(hist.Quantile(0.9), 7u);    // rank 90 is the last 5
+  EXPECT_EQ(hist.Quantile(0.91), 100u);  // bucket bound 127, capped at Max
+  EXPECT_EQ(hist.Quantile(0.99), 100u);
+  EXPECT_EQ(hist.Quantile(1.0), 100u);
+  hist.Observe(1000);  // bucket [512, 1023]; Max is now 1000
+  EXPECT_EQ(hist.Quantile(0.95), 127u);
+  EXPECT_EQ(hist.Quantile(1.0), 1000u);
+  // Zero has its own bucket, whose bound is 0.
+  obs::Histogram zeros;
+  zeros.Observe(0);
+  zeros.Observe(0);
+  zeros.Observe(3);
+  EXPECT_EQ(zeros.Quantile(0.5), 0u);
+  EXPECT_EQ(zeros.Quantile(1.0), 3u);
+}
+
 TEST_F(ObsTest, RegistrySnapshotFlattensAndSkipsZeros) {
   obs::MetricsRegistry registry;
   registry.GetCounter("zero");  // never moved: skipped by default

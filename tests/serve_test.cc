@@ -132,6 +132,128 @@ TEST(SnapshotManager, PinnedSnapshotKeepsAnsweringItsEpoch) {
             old_answers.size());
 }
 
+// A four-edge chain KB, `num_batches` one-edge batches extending it, and
+// the one-shot oracle's sorted answers to `query` at every epoch (epoch e
+// = base + batches[0..e)).
+struct EpochWorkload {
+  explicit EpochWorkload(int num_batches)
+      : rules(MustParseRuleSet(&universe, kRules)),
+        base(MustParseInstance(&universe, ChainFacts(0, 4))),
+        query(MustParseCq(&universe, "?(x,y) :- T(x,y)")) {
+    for (int b = 0; b < num_batches; ++b) {
+      Instance parsed = MustParseInstance(&universe, ChainFacts(4 + b, 5 + b));
+      batches.emplace_back(parsed.atoms().begin() + 1, parsed.atoms().end());
+    }
+    Instance accumulated = base;
+    for (int e = 0; e <= num_batches; ++e) {
+      Reasoner oracle(accumulated, rules, TestReasonerOptions());
+      expected.push_back(Sorted(oracle.Prepare(query).All()));
+      if (e < num_batches) accumulated.AddAtoms(batches[e]);
+    }
+  }
+
+  Universe universe;
+  RuleSet rules;
+  Instance base;
+  Cq query;
+  std::vector<std::vector<Atom>> batches;
+  std::vector<std::vector<AnswerTuple>> expected;
+};
+
+std::uint64_t CounterValue(const char* name) {
+  return obs::Metrics().GetCounter(name)->Value();
+}
+
+TEST(SnapshotManager, RecyclesRetiredReplicasWhenNothingPinsThem) {
+  EpochWorkload w(5);
+  const std::uint64_t published_before =
+      CounterValue("serve.snapshots_published");
+  const std::uint64_t clones_before = CounterValue("serve.snapshot_clones");
+  SnapshotManager manager(w.base, w.rules, TestReasonerOptions());
+  const PreparedQuery plan = manager.reasoner().PrepareDetached(w.query);
+
+  for (std::size_t e = 0; e <= w.batches.size(); ++e) {
+    if (e > 0) manager.ApplyFacts(w.batches[e - 1]);
+    // Pinned only while checked: no epoch is held across a publish.
+    auto snap = manager.Pin();
+    ASSERT_EQ(snap->epoch, e);
+    const Instance& live = manager.reasoner().Materialize();
+    const Instance& replica = *snap->materialization;
+    // A replica holds exactly the live atom sequence, whichever path
+    // built it, so it answers in the live store's order...
+    ASSERT_EQ(replica.size(), live.size());
+    EXPECT_TRUE(std::equal(replica.atoms().begin(), replica.atoms().end(),
+                           live.atoms().begin()));
+    const std::vector<AnswerTuple> answers = plan.AllOn(replica);
+    EXPECT_EQ(answers, plan.AllOn(live));
+    // ...and its answers are the one-shot chase's.
+    EXPECT_EQ(Sorted(answers), w.expected[e]);
+  }
+  EXPECT_EQ(CounterValue("serve.snapshots_published") - published_before,
+            w.batches.size() + 1);
+  // Epochs 0 and 1 clone; each later publish brings the replica retired
+  // by the publish before up to date.
+  EXPECT_LE(CounterValue("serve.snapshot_clones") - clones_before, 2u);
+}
+
+TEST(SnapshotManager, HeldEpochsForceClonesAndKeepAnswering) {
+  EpochWorkload w(5);
+  SnapshotManager manager(w.base, w.rules, TestReasonerOptions());
+  const PreparedQuery plan = manager.reasoner().PrepareDetached(w.query);
+
+  // Every epoch stays pinned across every later publish, so no replica
+  // ever returns to the manager: each publish must clone.
+  std::vector<std::shared_ptr<const EpochSnapshot>> held = {manager.Pin()};
+  for (std::size_t b = 0; b + 1 < w.batches.size(); ++b) {
+    const std::uint64_t clones_before = CounterValue("serve.snapshot_clones");
+    manager.ApplyFacts(w.batches[b]);
+    EXPECT_EQ(CounterValue("serve.snapshot_clones") - clones_before, 1u);
+    held.push_back(manager.Pin());
+  }
+  for (const auto& snap : held) {
+    EXPECT_EQ(Sorted(plan.AllOn(*snap->materialization)),
+              w.expected[snap->epoch])
+        << "epoch " << snap->epoch;
+  }
+
+  // Releasing the pins returns the replicas; the next publish recycles
+  // the newest one instead of cloning.
+  held.clear();
+  const std::uint64_t clones_before = CounterValue("serve.snapshot_clones");
+  auto result = manager.ApplyFacts(w.batches.back());
+  EXPECT_EQ(CounterValue("serve.snapshot_clones") - clones_before, 0u);
+  EXPECT_EQ(result.snapshot->epoch, w.batches.size());
+  EXPECT_EQ(Sorted(plan.AllOn(*result.snapshot->materialization)),
+            w.expected.back());
+}
+
+TEST(SnapshotManager, SnapshotPinnedPastTheManagerStillAnswers) {
+  EpochWorkload w(3);
+  // The plan comes from a session that outlives the manager.
+  Reasoner planner(w.base, w.rules, TestReasonerOptions());
+  const PreparedQuery plan = planner.PrepareDetached(w.query);
+
+  std::shared_ptr<const EpochSnapshot> older;
+  std::shared_ptr<const EpochSnapshot> last;
+  {
+    auto manager = std::make_unique<SnapshotManager>(w.base, w.rules,
+                                                     TestReasonerOptions());
+    manager->ApplyFacts(w.batches[0]);
+    older = manager->Pin();  // a retired epoch by the time the manager dies
+    for (std::size_t b = 1; b < w.batches.size(); ++b) {
+      manager->ApplyFacts(w.batches[b]);
+    }
+    last = manager->Pin();
+  }
+  // With the manager gone, releasing a replica frees it (the leak check of
+  // the sanitizer build would flag a replica nobody frees).
+  EXPECT_EQ(Sorted(plan.AllOn(*older->materialization)), w.expected[1]);
+  older.reset();
+  EXPECT_EQ(last->epoch, w.batches.size());
+  EXPECT_EQ(Sorted(plan.AllOn(*last->materialization)), w.expected.back());
+  last.reset();
+}
+
 // --- Sessions ----------------------------------------------------------------
 
 TEST(SessionRegistry, OpensClosesAndCounts) {
@@ -180,6 +302,11 @@ class ServerTest : public ::testing::Test {
 };
 
 TEST_F(ServerTest, PingStatusMetrics) {
+  // The latency histogram is process-wide: count this test's requests
+  // from here on.
+  const std::uint64_t observed_before =
+      obs::Metrics().GetHistogram("serve.request_us")->Count();
+
   auto ping = Handle(R"json({"op":"ping","id":1})json");
   EXPECT_TRUE(ping.FindBool("ok")->AsBool());
   EXPECT_EQ(ping.FindInt("id")->AsInt(), 1);
@@ -192,10 +319,20 @@ TEST_F(ServerTest, PingStatusMetrics) {
                 "base_atoms")->AsInt());
   EXPECT_TRUE(status.FindBool("saturated")->AsBool());
   EXPECT_EQ(status.FindInt("sessions")->AsInt(), 1);
+  ASSERT_NE(status.FindInt("request_p50_us"), nullptr);
+  ASSERT_NE(status.FindInt("request_p99_us"), nullptr);
+  EXPECT_LE(status.FindInt("request_p50_us")->AsInt(),
+            status.FindInt("request_p99_us")->AsInt());
 
+  // Each request is observed once, when its reply is ready: the metrics
+  // reply sees the ping and the status, not itself.
   auto metrics = Handle(R"json({"op":"metrics"})json");
   ASSERT_NE(metrics.Find("metrics"), nullptr);
   EXPECT_TRUE(metrics.Find("metrics")->is_object());
+  const JsonValue* count =
+      metrics.Find("metrics")->Find("serve.request_us.count");
+  ASSERT_NE(count, nullptr);
+  EXPECT_EQ(count->AsInt(), static_cast<std::int64_t>(observed_before + 2));
 }
 
 TEST_F(ServerTest, InlineQueryAllCountAsk) {
