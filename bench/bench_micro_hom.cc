@@ -2,6 +2,11 @@
 
 #include "bench/harness.h"
 
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "api/reasoner.h"
 #include "base/rng.h"
 #include "chase/chase.h"
 #include "homomorphism/homomorphism.h"
@@ -92,6 +97,70 @@ void BM_CoreComputation(bench::State& state) {
   }
 }
 BENCHMARK(BM_CoreComputation);
+
+// A rewriting-sized UCQ over ~10^4 base facts: 24 classes and 8 roles
+// under Top, so ?(x,y) :- Top(x), E(x,y) rewrites into 33 disjuncts that
+// share most of their answers. The argument is the session thread count.
+struct UcqWorkload {
+  explicit UcqWorkload(std::size_t threads) : db(&u) {
+    std::string rules;
+    for (int i = 0; i < 24; ++i) {
+      rules += "C" + std::to_string(i) + "(x) -> Top(x)\n";
+    }
+    for (int i = 0; i < 8; ++i) {
+      rules += "R" + std::to_string(i) + "(x,y) -> Top(x)\n";
+    }
+    const RuleSet rule_set = MustParseRuleSet(&u, rules);
+    std::vector<Term> consts;
+    for (int i = 0; i < 2000; ++i) {
+      consts.push_back(u.InternConstant("k" + std::to_string(i)));
+    }
+    Rng rng(31);
+    const PredicateId e = u.InternPredicate("E", 2);
+    for (int i = 0; i < 4000; ++i) {
+      db.AddAtom(Atom(e, {consts[rng.Below(2000)], consts[rng.Below(2000)]}));
+    }
+    for (int i = 0; i < 24; ++i) {
+      const PredicateId c = u.InternPredicate("C" + std::to_string(i), 1);
+      for (int k = 0; k < 150; ++k) {
+        db.AddAtom(Atom(c, {consts[rng.Below(2000)]}));
+      }
+    }
+    for (int i = 0; i < 8; ++i) {
+      const PredicateId r = u.InternPredicate("R" + std::to_string(i), 2);
+      for (int k = 0; k < 300; ++k) {
+        db.AddAtom(Atom(r, {consts[rng.Below(2000)], consts[rng.Below(2000)]}));
+      }
+    }
+    ReasonerOptions options;
+    options.strategy = AnswerStrategy::kRewrite;
+    options.chase.exec.num_threads = threads;
+    reasoner.emplace(db, rule_set, options);
+    plan.emplace(
+        reasoner->Prepare(MustParseCq(&u, "?(x,y) :- Top(x), E(x,y)")));
+  }
+
+  Universe u;
+  Instance db;
+  std::optional<Reasoner> reasoner;
+  std::optional<PreparedQuery> plan;
+};
+
+void BM_PreparedUcqAll(bench::State& state) {
+  UcqWorkload w(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    bench::DoNotOptimize(w.plan->All().size());
+  }
+}
+BENCHMARK(BM_PreparedUcqAll)->Arg(1)->Arg(4);
+
+void BM_PreparedUcqCount(bench::State& state) {
+  UcqWorkload w(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    bench::DoNotOptimize(w.plan->Count());
+  }
+}
+BENCHMARK(BM_PreparedUcqCount)->Arg(1)->Arg(4);
 
 }  // namespace
 }  // namespace bddfc

@@ -1,5 +1,6 @@
 #include "api/reasoner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -51,58 +52,140 @@ const char* ToString(StrategyDecision decision) {
   return "?";
 }
 
+// --- AnswerTable -------------------------------------------------------------
+
+std::size_t AnswerTable::Hash(const Term* tuple) const {
+  std::size_t seed = arity_;
+  for (std::size_t i = 0; i < arity_; ++i) {
+    HashCombine(&seed, std::hash<Term>{}(tuple[i]));
+  }
+  return seed;
+}
+
+void AnswerTable::Grow() {
+  slots_.assign(slots_.empty() ? 16 : 2 * slots_.size(), 0);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = 0; i < size_; ++i) {
+    std::size_t slot = Hash(Row(i)) & mask;
+    while (slots_[slot] != 0) slot = (slot + 1) & mask;
+    slots_[slot] = static_cast<std::uint32_t>(i + 1);
+  }
+}
+
+bool AnswerTable::Insert(const Term* tuple) {
+  if (2 * (size_ + 1) > slots_.size()) Grow();  // load stays <= 1/2
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t slot = Hash(tuple) & mask;
+  while (slots_[slot] != 0) {
+    if (std::equal(tuple, tuple + arity_, Row(slots_[slot] - 1))) {
+      return false;
+    }
+    slot = (slot + 1) & mask;
+  }
+  slots_[slot] = static_cast<std::uint32_t>(size_ + 1);
+  terms_.insert(terms_.end(), tuple, tuple + arity_);
+  ++size_;
+  return true;
+}
+
+AnswerTuple AnswerTable::Tuple(std::size_t i) const {
+  return AnswerTuple(Row(i), Row(i) + arity_);
+}
+
+std::vector<AnswerTuple> AnswerTable::Tuples() const {
+  std::vector<AnswerTuple> out;
+  out.reserve(size_);
+  for (std::size_t i = 0; i < size_; ++i) out.push_back(Tuple(i));
+  return out;
+}
+
 // --- AnswerCursor ------------------------------------------------------------
 
 std::optional<AnswerTuple> AnswerCursor::Next() {
-  for (;;) {
-    while (buffer_pos_ < buffer_.size()) {
-      AnswerTuple& tuple = buffer_[buffer_pos_++];
-      if (seen_.insert(tuple).second) return std::move(tuple);
-    }
+  while (emitted_ == answers_.size()) {
     if (disjunct_ >= query_->searches_.size()) return std::nullopt;
-    buffer_ = query_->EvaluateDisjunct(disjunct_++);
-    buffer_pos_ = 0;
+    query_->CollectDisjunct(disjunct_++, nullptr, query_->pool_, &answers_);
   }
+  return answers_.Tuple(emitted_++);
 }
 
 // --- PreparedQuery -----------------------------------------------------------
 
 namespace {
 
-// Projected, null-filtered (not yet deduplicated) answers of one disjunct
-// through one bound search, in homomorphism enumeration order. Shared by
-// the live path (the plan's own searches) and the snapshot-pinned path
-// (searches built per call against a pinned target).
-std::vector<AnswerTuple> EvaluateOne(const Cq& disjunct,
-                                     const HomSearch& search,
-                                     ThreadPool* pool) {
-  // A Boolean disjunct contributes at most the empty tuple: an existence
-  // check (with short-circuiting) replaces materializing every
-  // homomorphism just to project it away.
-  if (disjunct.answers().empty()) {
-    if (search.ExistsParallel(pool)) return {AnswerTuple{}};
-    return {};
-  }
-  std::vector<AnswerTuple> out;
-  for (const Substitution& h : search.FindAllParallel(pool)) {
-    AnswerTuple tuple = h.ApplyTuple(disjunct.answers());
-    bool certain = true;
-    for (Term t : tuple) {
-      if (t.IsNull()) {
-        certain = false;
-        break;
-      }
+// Reads a disjunct's answer tuple off a binding row. Answer terms are body
+// variables (a Cq invariant), so each one has a slot.
+class AnswerProjection {
+ public:
+  AnswerProjection(const Cq& disjunct, const HomSearch& search) {
+    for (Term t : disjunct.answers()) {
+      slots_.push_back(search.SlotOf(t));
+      BDDFC_CHECK_GE(slots_.back(), 0);
     }
-    if (certain) out.push_back(std::move(tuple));
   }
-  return out;
+
+  // Writes the tuple of `row` to `out`; false when it touches a labeled
+  // null, i.e. is not a certain answer.
+  bool Project(const Term* row, Term* out) const {
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      const Term t = row[slots_[i]];
+      if (t.IsNull()) return false;
+      out[i] = t;
+    }
+    return true;
+  }
+
+ private:
+  std::vector<int> slots_;
+};
+
+// True iff `search` finds a certain answer of `disjunct`. Short-circuits.
+bool HasCertainAnswer(const Cq& disjunct, const HomSearch& search,
+                      ThreadPool* pool) {
+  if (disjunct.answers().empty()) return search.ExistsParallel(pool);
+  const AnswerProjection projection(disjunct, search);
+  std::vector<Term> tuple(disjunct.answers().size());
+  bool found = false;
+  search.ForEachRow({}, [&](const Term* row) {
+    found = projection.Project(row, tuple.data());
+    return !found;  // not certain: keep searching
+  });
+  return found;
 }
 
 }  // namespace
 
-std::vector<AnswerTuple> PreparedQuery::EvaluateDisjunct(
-    std::size_t index) const {
-  return EvaluateOne(evaluated_.disjuncts()[index], searches_[index], pool_);
+void PreparedQuery::CollectDisjunct(std::size_t index, const Instance* target,
+                                    ThreadPool* pool, AnswerTable* out) const {
+  const Cq& disjunct = evaluated_.disjuncts()[index];
+  BDDFC_CHECK_EQ(disjunct.answers().size(), out->arity());
+  std::optional<HomSearch> pinned;
+  if (target != nullptr) pinned.emplace(disjunct.atoms(), target);
+  const HomSearch& search = target == nullptr ? searches_[index] : *pinned;
+  // A Boolean disjunct contributes at most the empty tuple: an existence
+  // check (with short-circuiting) replaces enumerating every homomorphism
+  // just to project it away.
+  if (disjunct.answers().empty()) {
+    if (search.ExistsParallel(pool)) out->Insert(nullptr);
+    return;
+  }
+  const AnswerProjection projection(disjunct, search);
+  std::vector<Term> tuple(disjunct.answers().size());
+  search.ForEachRowParallel(pool, {}, [&](const Term* row) {
+    if (projection.Project(row, tuple.data())) out->Insert(tuple.data());
+    return true;
+  });
+}
+
+AnswerTable PreparedQuery::Collect(const Instance* target,
+                                   ThreadPool* pool) const {
+  AnswerTable answers(answer_arity_);
+  const std::size_t n =
+      target == nullptr ? searches_.size() : evaluated_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    CollectDisjunct(i, target, pool, &answers);
+  }
+  return answers;
 }
 
 bool PreparedQuery::complete() const {
@@ -113,73 +196,38 @@ bool PreparedQuery::complete() const {
 
 bool PreparedQuery::Ask() const {
   for (std::size_t i = 0; i < searches_.size(); ++i) {
-    const Cq& disjunct = evaluated_.disjuncts()[i];
-    if (disjunct.answers().empty()) {
-      if (searches_[i].ExistsParallel(pool_)) return true;
-      continue;
+    if (HasCertainAnswer(evaluated_.disjuncts()[i], searches_[i], pool_)) {
+      return true;
     }
-    bool found = false;
-    searches_[i].ForEach({}, [&](const Substitution& h) {
-      for (Term v : disjunct.answers()) {
-        if (h.Apply(v).IsNull()) return true;  // not certain; keep searching
-      }
-      found = true;
-      return false;
-    });
-    if (found) return true;
   }
   return false;
 }
 
 std::size_t PreparedQuery::Count() const {
-  std::size_t n = 0;
-  AnswerCursor cursor = Open();
-  while (cursor.Next().has_value()) ++n;
-  return n;
+  return Collect(nullptr, pool_).size();
 }
 
 std::vector<AnswerTuple> PreparedQuery::All() const {
-  std::vector<AnswerTuple> out;
-  AnswerCursor cursor = Open();
-  while (auto tuple = cursor.Next()) out.push_back(std::move(*tuple));
-  return out;
+  return Collect(nullptr, pool_).Tuples();
 }
 
 std::vector<AnswerTuple> PreparedQuery::AllOn(const Instance& target,
                                               ThreadPool* pool) const {
-  std::vector<AnswerTuple> out;
-  std::unordered_set<AnswerTuple, AnswerTupleHash> seen;
-  for (const Cq& disjunct : evaluated_.disjuncts()) {
-    HomSearch search(disjunct.atoms(), &target);
-    for (AnswerTuple& tuple : EvaluateOne(disjunct, search, pool)) {
-      if (seen.insert(tuple).second) out.push_back(std::move(tuple));
-    }
-  }
-  return out;
+  return Collect(&target, pool).Tuples();
 }
 
 std::size_t PreparedQuery::CountOn(const Instance& target,
                                    ThreadPool* pool) const {
-  return AllOn(target, pool).size();
+  return Collect(&target, pool).size();
 }
 
 bool PreparedQuery::AskOn(const Instance& target, ThreadPool* pool) const {
   (void)pool;  // existence short-circuits; fan-out never pays for itself
   for (const Cq& disjunct : evaluated_.disjuncts()) {
-    HomSearch search(disjunct.atoms(), &target);
-    if (disjunct.answers().empty()) {
-      if (search.Exists()) return true;
-      continue;
+    if (HasCertainAnswer(disjunct, HomSearch(disjunct.atoms(), &target),
+                         /*pool=*/nullptr)) {
+      return true;
     }
-    bool found = false;
-    search.ForEach({}, [&](const Substitution& h) {
-      for (Term v : disjunct.answers()) {
-        if (h.Apply(v).IsNull()) return true;  // not certain; keep searching
-      }
-      found = true;
-      return false;
-    });
-    if (found) return true;
   }
   return false;
 }
@@ -391,12 +439,14 @@ bool Reasoner::Ask(const Cq& q) { return Prepare(q).Ask(); }
 std::size_t Reasoner::AddFacts(const std::vector<Atom>& facts) {
   BDDFC_OBS_SPAN(add_span, "reasoner", "reasoner.add_facts");
   std::size_t added = 0;
+  // The new facts are kept only to resume a materialization; without one
+  // (every kRewrite session) nothing is copied.
   std::vector<Atom> fresh;
-  fresh.reserve(facts.size());
+  if (chase_ != nullptr) fresh.reserve(facts.size());
   for (const Atom& fact : facts) {
     for (Term t : fact.args()) BDDFC_CHECK(t.IsConstant());
     if (!database_.AddAtom(fact)) continue;
-    fresh.push_back(fact);
+    if (chase_ != nullptr) fresh.push_back(fact);
     ++added;
   }
   stats_.facts_added += added;

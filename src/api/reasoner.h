@@ -30,18 +30,22 @@
 // rewriting computed, per-disjunct homomorphism searches built — which can
 // then be executed many times (Ask/Count/All/Open), including after
 // AddFacts(): prepared queries always see the current state of the session.
-// Enumeration order is deterministic at every thread count (first-derivation
-// order: disjuncts in order, homomorphisms in the solver's canonical order,
-// duplicates keep their first occurrence).
+// Every answer entry point collects through one path: each disjunct's
+// binding rows (src/homomorphism/homomorphism.h) are projected onto the
+// answer slots, tuples touching nulls are dropped, and the rest are
+// deduplicated in an AnswerTable. Enumeration order is deterministic at
+// every thread count (first-derivation order: disjuncts in order,
+// homomorphisms in the solver's canonical order, duplicates keep their
+// first occurrence).
 
 #ifndef BDDFC_API_REASONER_H_
 #define BDDFC_API_REASONER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "analysis/program_analysis.h"
@@ -92,7 +96,7 @@ const char* ToString(StrategyDecision decision);
 /// `chase.exec` (ExecutionConfig) and govern the whole session: the chase
 /// materialization and prepared-query evaluation share one configuration
 /// and one thread pool. `chase.exec.num_threads` is plumbed both into the
-/// chase and into prepared-query evaluation (HomSearch::FindAllParallel
+/// chase and into prepared-query evaluation (HomSearch::ForEachRowParallel
 /// over the session pool); answers are identical at any thread count.
 struct ReasonerOptions {
   AnswerStrategy strategy = AnswerStrategy::kAuto;
@@ -123,13 +127,44 @@ struct ReasonerOptions {
 /// Boolean query that holds yields a single empty tuple.
 using AnswerTuple = std::vector<Term>;
 
-/// Hash for AnswerTuple (dedup sets, user-side caches).
+/// Hash for AnswerTuple (user-side dedup sets and caches).
 struct AnswerTupleHash {
   std::size_t operator()(const AnswerTuple& tuple) const {
     std::size_t seed = tuple.size();
     for (Term t : tuple) HashCombine(&seed, std::hash<Term>{}(t));
     return seed;
   }
+};
+
+/// The collector every PreparedQuery answer path shares: the distinct
+/// answer tuples of one fixed arity, packed into one flat vector in
+/// first-insertion order and deduplicated through an open-addressing
+/// table of tuple indices (no per-tuple allocation).
+class AnswerTable {
+ public:
+  explicit AnswerTable(std::size_t arity) : arity_(arity) {}
+
+  /// Adds the arity() terms at `tuple` unless already present; true when
+  /// they were new.
+  bool Insert(const Term* tuple);
+
+  std::size_t arity() const { return arity_; }
+  /// Number of distinct tuples.
+  std::size_t size() const { return size_; }
+  /// Tuple i (first-insertion order) as an owned AnswerTuple.
+  AnswerTuple Tuple(std::size_t i) const;
+  /// Every tuple, in first-insertion order.
+  std::vector<AnswerTuple> Tuples() const;
+
+ private:
+  const Term* Row(std::size_t i) const { return terms_.data() + i * arity_; }
+  std::size_t Hash(const Term* tuple) const;
+  void Grow();
+
+  std::size_t arity_;
+  std::size_t size_ = 0;
+  std::vector<Term> terms_;           // tuple i at [i*arity, (i+1)*arity)
+  std::vector<std::uint32_t> slots_;  // tuple index + 1; 0 = empty
 };
 
 /// Wall-clock and size accounting of one executed chase step, as recorded
@@ -191,10 +226,11 @@ class PreparedQuery;
 class Reasoner;
 
 /// Streaming answer enumeration over a PreparedQuery, in the deterministic
-/// first-derivation order. Evaluates one disjunct at a time, so a UCQ with
-/// many disjuncts (a typical rewriting) starts yielding answers before the
-/// whole union has been evaluated. The cursor references the PreparedQuery:
-/// it must not outlive it (or survive a move of it).
+/// first-derivation order. Evaluates one disjunct at a time into the
+/// query's AnswerTable, so a UCQ with many disjuncts (a typical rewriting)
+/// starts yielding answers before the whole union has been evaluated. The
+/// cursor references the PreparedQuery: it must not outlive it (or survive
+/// a move of it).
 class AnswerCursor {
  public:
   /// The next answer tuple, or nullopt when the enumeration is exhausted.
@@ -202,13 +238,13 @@ class AnswerCursor {
 
  private:
   friend class PreparedQuery;
-  explicit AnswerCursor(const PreparedQuery* query) : query_(query) {}
+  AnswerCursor(const PreparedQuery* query, std::size_t arity)
+      : query_(query), answers_(arity) {}
 
   const PreparedQuery* query_;
   std::size_t disjunct_ = 0;  // next disjunct to evaluate
-  std::vector<AnswerTuple> buffer_;
-  std::size_t buffer_pos_ = 0;
-  std::unordered_set<AnswerTuple, AnswerTupleHash> seen_;
+  AnswerTable answers_;       // distinct answers of disjuncts [0, disjunct_)
+  std::size_t emitted_ = 0;   // answers_[0, emitted_) were returned
 };
 
 /// A query planned once — strategy resolved, rewriting (if any) computed,
@@ -253,7 +289,7 @@ class PreparedQuery {
   std::vector<AnswerTuple> All() const;
 
   /// Opens a streaming cursor over the same enumeration.
-  AnswerCursor Open() const { return AnswerCursor(this); }
+  AnswerCursor Open() const { return AnswerCursor(this, answer_arity_); }
 
   // --- Snapshot-pinned execution -------------------------------------------
   //
@@ -279,9 +315,14 @@ class PreparedQuery {
   friend class Reasoner;
   PreparedQuery() = default;
 
-  // Projected, null-filtered (not yet deduplicated) answers of disjunct
-  // `index`, in homomorphism enumeration order.
-  std::vector<AnswerTuple> EvaluateDisjunct(std::size_t index) const;
+  // The one answer path: adds the certain answers of disjunct `index` to
+  // `out` in the canonical order, searching the plan's own search when
+  // `target` is null and a fresh one into `target` otherwise.
+  void CollectDisjunct(std::size_t index, const Instance* target,
+                       ThreadPool* pool, AnswerTable* out) const;
+  // Every disjunct through CollectDisjunct: the live plan's (target null;
+  // a detached plan has none) or all of evaluated() into `target`.
+  AnswerTable Collect(const Instance* target, ThreadPool* pool) const;
 
   AnswerStrategy strategy_ = AnswerStrategy::kMaterialize;
   const Reasoner* reasoner_ = nullptr;  // the preparing session

@@ -82,105 +82,107 @@ std::vector<Atom> OrderForSearch(std::vector<Atom> atoms) {
   return ordered;
 }
 
-// Allowed target-atom index range [lo, hi) for one source atom.
-using AtomRange = std::pair<std::uint32_t, std::uint32_t>;
+}  // namespace
 
-// Mutable search state shared by the recursion.
-struct SearchState {
-  const std::vector<Atom>* source;
-  const Instance* target;
-  bool injective;
-  // When non-null: per-depth image index ranges, parallel to *source
-  // (ForEachFirstIn's chunking). Null means unconstrained.
-  const std::vector<AtomRange>* ranges = nullptr;
-  std::unordered_map<Term, Term> assignment;
-  std::unordered_set<Term> used;  // images, for injectivity
-  const std::function<bool(const Substitution&)>* visit;
+// Mutable state of one search call: the binding row, its undo trail and
+// (injective searches only) the images already used.
+struct HomSearch::SearchState {
+  SearchState(const HomSearch* plan, RowVisitor visit)
+      : plan(plan), visit(visit) {}
+
+  const HomSearch* plan;
+  RowVisitor visit;
+  // Image index range of the first source atom (ForEachRowFirstIn).
+  std::uint32_t first_begin = 0;
+  std::uint32_t first_end = 0;
+  std::vector<Term> row;
+  std::vector<std::uint32_t> trail;  // slots bound by enclosing matches
+  std::unordered_set<Term> used;
   std::size_t visited = 0;
   bool stop = false;
+
+  void Search(std::size_t depth);
+  void TryMatch(std::size_t depth, const Atom& a, const std::int32_t* slots,
+                const Atom& b);
 };
 
-// Resolves a source term under the current assignment; invalid if unbound.
-Term Resolve(const SearchState& st, Term t) {
-  if (t.IsRigid()) return t;
-  auto it = st.assignment.find(t);
-  return it == st.assignment.end() ? Term() : it->second;
+void HomSearch::SearchState::Search(std::size_t depth) {
+  if (depth == plan->source_.size()) {
+    ++visited;
+    if (!visit(row.data())) stop = true;
+    return;
+  }
+  const Atom& a = plan->source_[depth];
+  const std::int32_t* slots =
+      plan->arg_slots_.data() + plan->arg_offsets_[depth];
+  const Instance& target = *plan->target_;
+  std::uint32_t lo = 0;
+  std::uint32_t hi = static_cast<std::uint32_t>(target.size());
+  if (depth == 0) {
+    lo = first_begin;
+    hi = std::min(hi, first_end);
+  }
+  if (a.IsNullary()) {
+    const std::size_t idx = target.IndexOf(a);
+    if (idx != SIZE_MAX && idx >= lo && idx < hi) Search(depth + 1);
+    return;
+  }
+  // Pick the most selective candidate list available, clamped to [lo, hi).
+  IndexView candidates = target.AtomsWithIn(a.pred(), lo, hi);
+  for (std::size_t p = 0; p < a.arity() && !candidates.empty(); ++p) {
+    const Term bound = slots[p] < 0 ? a.arg(p) : row[slots[p]];
+    if (!bound.IsValid()) continue;
+    IndexView narrowed =
+        target.AtomsWithIn(a.pred(), static_cast<int>(p), bound, lo, hi);
+    if (narrowed.size() < candidates.size()) candidates = narrowed;
+  }
+  const std::vector<Atom>& atoms = target.atoms();
+  for (const std::uint32_t idx : candidates) {
+    if (stop) return;
+    TryMatch(depth, a, slots, atoms[idx]);
+  }
 }
 
-void Search(SearchState* st, std::size_t depth);
-
-// Attempts to match source atom `a` against target atom `b`, binding fresh
-// variables; on success recurses, then undoes the bindings.
-void TryMatch(SearchState* st, const Atom& a, const Atom& b,
-              std::size_t depth) {
-  std::vector<Term> bound_here;
+// Matches source atom `a` (compiled to `slots`) against target atom `b`,
+// binding unbound slots; on success recurses, then undoes the bindings.
+void HomSearch::SearchState::TryMatch(std::size_t depth, const Atom& a,
+                                      const std::int32_t* slots,
+                                      const Atom& b) {
+  const bool injective = plan->options_.injective;
+  const std::size_t mark = trail.size();
   bool ok = true;
   for (std::size_t p = 0; p < a.arity(); ++p) {
-    Term s = a.arg(p);
-    Term v = b.arg(p);
-    Term resolved = Resolve(*st, s);
-    if (resolved.IsValid()) {
-      if (resolved != v) {
+    const Term v = b.arg(p);
+    const std::int32_t slot = slots[p];
+    if (slot < 0) {
+      if (a.arg(p) != v) {
         ok = false;
         break;
       }
       continue;
     }
-    if (st->injective && st->used.find(v) != st->used.end()) {
+    if (row[slot].IsValid()) {
+      if (row[slot] != v) {
+        ok = false;
+        break;
+      }
+      continue;
+    }
+    if (injective && !used.insert(v).second) {
       ok = false;
       break;
     }
-    st->assignment.emplace(s, v);
-    if (st->injective) st->used.insert(v);
-    bound_here.push_back(s);
+    row[slot] = v;
+    trail.push_back(static_cast<std::uint32_t>(slot));
   }
-  if (ok) Search(st, depth + 1);
-  for (auto it = bound_here.rbegin(); it != bound_here.rend(); ++it) {
-    auto a_it = st->assignment.find(*it);
-    if (st->injective) st->used.erase(a_it->second);
-    st->assignment.erase(a_it);
-  }
-}
-
-void Search(SearchState* st, std::size_t depth) {
-  if (st->stop) return;
-  if (depth == st->source->size()) {
-    Substitution result;
-    for (const auto& [from, to] : st->assignment) result.Bind(from, to);
-    ++st->visited;
-    if (!(*st->visit)(result)) st->stop = true;
-    return;
-  }
-  const Atom& a = (*st->source)[depth];
-  std::uint32_t lo = 0;
-  std::uint32_t hi = static_cast<std::uint32_t>(st->target->size());
-  if (st->ranges != nullptr) {
-    lo = (*st->ranges)[depth].first;
-    hi = std::min(hi, (*st->ranges)[depth].second);
-  }
-  if (a.IsNullary()) {
-    std::size_t idx = st->target->IndexOf(a);
-    if (idx != SIZE_MAX && idx >= lo && idx < hi) Search(st, depth + 1);
-    return;
-  }
-  // Pick the most selective candidate list available, clamped to [lo, hi).
-  IndexView candidates = st->target->AtomsWithIn(a.pred(), lo, hi);
-  for (std::size_t p = 0; p < a.arity(); ++p) {
-    Term resolved = Resolve(*st, a.arg(p));
-    if (!resolved.IsValid()) continue;
-    IndexView narrowed =
-        st->target->AtomsWithIn(a.pred(), static_cast<int>(p), resolved, lo,
-                                hi);
-    // Point-lookup views own their (merged) result; move, don't copy.
-    if (narrowed.size() < candidates.size()) candidates = std::move(narrowed);
-  }
-  for (std::uint32_t idx : candidates) {
-    if (st->stop) return;
-    TryMatch(st, a, st->target->atoms()[idx], depth);
+  if (ok) Search(depth + 1);
+  while (trail.size() > mark) {
+    const std::uint32_t slot = trail.back();
+    trail.pop_back();
+    if (injective) used.erase(row[slot]);
+    row[slot] = Term();
   }
 }
-
-}  // namespace
 
 HomSearch::HomSearch(std::vector<Atom> source, const Instance* target,
                      HomOptions options)
@@ -188,73 +190,75 @@ HomSearch::HomSearch(std::vector<Atom> source, const Instance* target,
       target_(target),
       options_(options) {
   BDDFC_CHECK(target != nullptr);
+  for (const Atom& a : source_) {
+    for (Term t : a.args()) {
+      if (!t.IsRigid()) slot_terms_.push_back(t);
+    }
+  }
+  std::sort(slot_terms_.begin(), slot_terms_.end());
+  slot_terms_.erase(std::unique(slot_terms_.begin(), slot_terms_.end()),
+                    slot_terms_.end());
+  arg_offsets_.reserve(source_.size() + 1);
+  arg_offsets_.push_back(0);
+  for (const Atom& a : source_) {
+    for (Term t : a.args()) arg_slots_.push_back(SlotOf(t));
+    arg_offsets_.push_back(static_cast<std::uint32_t>(arg_slots_.size()));
+  }
 }
 
-namespace {
+int HomSearch::SlotOf(Term t) const {
+  if (t.IsRigid()) return -1;
+  const auto it = std::lower_bound(slot_terms_.begin(), slot_terms_.end(), t);
+  if (it == slot_terms_.end() || *it != t) return -1;
+  return static_cast<int>(it - slot_terms_.begin());
+}
 
-// Seeds `st` from `seed` (and pre-populates the injectivity set). Returns
-// false when the seed is contradictory, i.e. no extension can exist.
-bool SeedState(const std::vector<Atom>& source, const Substitution& seed,
-               SearchState* st) {
+std::size_t HomSearch::Run(std::uint32_t first_begin, std::uint32_t first_end,
+                           const Substitution& seed, RowVisitor visit) const {
+  SearchState st(this, visit);
+  st.first_begin = first_begin;
+  st.first_end = first_end;
+  st.row.assign(slot_terms_.size(), Term());
+  st.trail.reserve(slot_terms_.size());
+  // Seed the row. A rigid seed must map to itself; bindings of terms
+  // outside the source matter only as used images of an injective search.
+  std::vector<Term> seeded_images;
   for (const auto& [from, to] : seed.entries()) {
     if (from.IsRigid()) {
-      if (from != to) return false;  // seed contradicts rigidity
+      if (from != to) return 0;  // seed contradicts rigidity
       continue;
     }
-    auto [it, inserted] = st->assignment.emplace(from, to);
-    if (!inserted && it->second != to) return false;
+    const int slot = SlotOf(from);
+    if (slot >= 0) st.row[slot] = to;
+    if (options_.injective) seeded_images.push_back(to);
   }
-  if (st->injective) {
-    // Pre-populate the used set with rigid images and seed images; a seed
-    // collision means no injective extension exists.
-    std::unordered_set<Term> rigid_seen;
-    for (const Atom& a : source) {
+  if (options_.injective) {
+    // Rigid terms are their own images; a seed image colliding with one
+    // (or with another seed image) means no injective extension exists.
+    for (const Atom& a : source_) {
       for (Term t : a.args()) {
-        if (t.IsRigid() && rigid_seen.insert(t).second) {
-          if (!st->used.insert(t).second) return false;
-        }
+        if (t.IsRigid()) st.used.insert(t);
       }
     }
-    for (const auto& [from, to] : st->assignment) {
-      (void)from;
-      if (!st->used.insert(to).second) return false;
+    for (Term image : seeded_images) {
+      if (!st.used.insert(image).second) return 0;
     }
   }
-  return true;
-}
-
-}  // namespace
-
-std::size_t HomSearch::ForEach(
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visit) const {
-  SearchState st;
-  st.source = &source_;
-  st.target = target_;
-  st.injective = options_.injective;
-  st.visit = &visit;
-  if (!SeedState(source_, seed, &st)) return 0;
-  Search(&st, 0);
+  st.Search(0);
   return st.visited;
 }
 
-std::size_t HomSearch::ForEachFirstIn(
-    std::uint32_t first_begin, std::uint32_t first_end,
-    const Substitution& seed,
-    const std::function<bool(const Substitution&)>& visit) const {
+std::size_t HomSearch::ForEachRow(const Substitution& seed,
+                                  RowVisitor visit) const {
+  return Run(0, UINT32_MAX, seed, visit);
+}
+
+std::size_t HomSearch::ForEachRowFirstIn(std::uint32_t first_begin,
+                                         std::uint32_t first_end,
+                                         const Substitution& seed,
+                                         RowVisitor visit) const {
   BDDFC_CHECK(!source_.empty());
-  const std::uint32_t n = static_cast<std::uint32_t>(target_->size());
-  std::vector<AtomRange> run_ranges(source_.size(), {0, n});
-  run_ranges[0] = {first_begin, first_end};
-  SearchState st;
-  st.source = &source_;
-  st.target = target_;
-  st.injective = options_.injective;
-  st.ranges = &run_ranges;
-  st.visit = &visit;
-  if (!SeedState(source_, seed, &st)) return 0;
-  Search(&st, 0);
-  return st.visited;
+  return Run(first_begin, first_end, seed, visit);
 }
 
 namespace {
@@ -280,36 +284,45 @@ FirstAtomChunks PlanFirstAtomChunks(std::uint32_t n, std::size_t workers) {
 
 }  // namespace
 
-std::vector<Substitution> HomSearch::FindAllParallel(
-    ThreadPool* pool, const Substitution& seed, std::size_t limit) const {
+std::size_t HomSearch::ForEachRowParallel(ThreadPool* pool,
+                                          const Substitution& seed,
+                                          RowVisitor visit) const {
   const std::uint32_t n = static_cast<std::uint32_t>(target_->size());
   const FirstAtomChunks plan =
       PlanFirstAtomChunks(n, pool == nullptr ? 0 : pool->num_workers());
   if (pool == nullptr || pool->num_workers() == 0 || source_.empty() ||
       plan.count < 2) {
-    return FindAll(seed, limit);
+    return ForEachRow(seed, visit);
   }
-  std::vector<std::vector<Substitution>> batches(plan.count);
+  // One packed row table per chunk: rows[r] is terms[r*width, (r+1)*width).
+  struct RowTable {
+    std::vector<Term> terms;
+    std::size_t rows = 0;
+  };
+  const std::size_t width = num_slots();
+  std::vector<RowTable> tables(plan.count);
   for (std::size_t k = 0; k < plan.count; ++k) {
     const std::uint32_t lo = static_cast<std::uint32_t>(k) * plan.size;
     const std::uint32_t hi = std::min(n, lo + plan.size);
     if (lo >= hi) break;
-    pool->Submit([this, &seed, &batches, k, lo, hi, limit] {
-      ForEachFirstIn(lo, hi, seed, [&](const Substitution& h) {
-        batches[k].push_back(h);
-        return batches[k].size() < limit;
+    pool->Submit([this, &seed, &tables, k, lo, hi, width] {
+      RowTable& table = tables[k];
+      ForEachRowFirstIn(lo, hi, seed, [&table, width](const Term* row) {
+        table.terms.insert(table.terms.end(), row, row + width);
+        ++table.rows;
+        return true;
       });
     });
   }
   pool->WaitAll();
-  std::vector<Substitution> out;
-  for (std::vector<Substitution>& batch : batches) {
-    for (Substitution& h : batch) {
-      if (out.size() >= limit) return out;
-      out.push_back(std::move(h));
+  std::size_t visited = 0;
+  for (const RowTable& table : tables) {
+    for (std::size_t r = 0; r < table.rows; ++r) {
+      ++visited;
+      if (!visit(table.terms.data() + r * width)) return visited;
     }
   }
-  return out;
+  return visited;
 }
 
 bool HomSearch::ExistsParallel(ThreadPool* pool,
@@ -328,7 +341,7 @@ bool HomSearch::ExistsParallel(ThreadPool* pool,
     if (lo >= hi) break;
     pool->Submit([this, &seed, &found, lo, hi] {
       if (found.load(std::memory_order_relaxed)) return;
-      ForEachFirstIn(lo, hi, seed, [&](const Substitution&) {
+      ForEachRowFirstIn(lo, hi, seed, [&found](const Term*) {
         found.store(true, std::memory_order_relaxed);
         return false;
       });
@@ -336,6 +349,21 @@ bool HomSearch::ExistsParallel(ThreadPool* pool,
   }
   pool->WaitAll();
   return found.load(std::memory_order_relaxed);
+}
+
+std::size_t HomSearch::ForEach(const Substitution& seed,
+                               SubstitutionVisitor visit) const {
+  Substitution outside;  // the seed's bindings of terms not in the source
+  for (const auto& [from, to] : seed.entries()) {
+    if (!from.IsRigid() && SlotOf(from) < 0) outside.Bind(from, to);
+  }
+  return ForEachRow(seed, [&](const Term* row) {
+    Substitution h = outside;
+    for (std::size_t s = 0; s < slot_terms_.size(); ++s) {
+      h.Bind(slot_terms_[s], row[s]);
+    }
+    return visit(h);
+  });
 }
 
 std::optional<Substitution> HomSearch::FindOne(const Substitution& seed) const {
@@ -348,12 +376,13 @@ std::optional<Substitution> HomSearch::FindOne(const Substitution& seed) const {
 }
 
 bool HomSearch::Exists(const Substitution& seed) const {
-  return FindOne(seed).has_value();
+  return ForEachRow(seed, [](const Term*) { return false; }) > 0;
 }
 
 std::vector<Substitution> HomSearch::FindAll(const Substitution& seed,
                                              std::size_t limit) const {
   std::vector<Substitution> out;
+  if (limit == 0) return out;
   ForEach(seed, [&](const Substitution& s) {
     out.push_back(s);
     return out.size() < limit;

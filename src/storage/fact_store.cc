@@ -55,13 +55,16 @@ std::unique_ptr<FactStore> FactStore::Clone() const {
   // The copy's generation counter stays its own: no view borrowed from
   // this store can ever observe the copy.
   copy->atoms_ = atoms_;
-  copy->adom_ = adom_;
-  copy->adom_set_ = adom_set_;
   copy->slots_ = slots_;
   copy->slots_used_ = slots_used_;
-  // Lock only to order against a concurrent lazy seal (EnsureRuns) on a
-  // query thread; mutation is single-threaded per the thread model.
-  std::lock_guard<std::mutex> lock(runs_mutex_);
+  // Lock only to order against a concurrent lazy seal or active-domain
+  // scan on a query thread; mutation is single-threaded per the thread
+  // model. The copy takes over whatever part of the domain is scanned.
+  std::lock_guard<std::mutex> lock(lazy_mutex_);
+  copy->adom_ = adom_;
+  copy->adom_set_ = adom_set_;
+  copy->adom_scanned_.store(adom_scanned_.load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
   copy->tables_.reserve(tables_.size());
   for (const auto& table : tables_) {
     copy->tables_.push_back(table == nullptr ? nullptr
@@ -101,9 +104,6 @@ bool FactStore::AddAtom(const Atom& atom) {
   if (slots_[slot] != 0) return false;
   const std::uint32_t idx = static_cast<std::uint32_t>(atoms_.size());
   atoms_.push_back(atom);
-  for (Term t : atom.args()) {
-    if (adom_set_.insert(t).second) adom_.push_back(t);
-  }
 #ifndef NDEBUG
   ++*generation_;
 #endif
@@ -150,13 +150,16 @@ void FactStore::SealTable(PredTable* table) {
   table->run_ends.push_back(n);
   table->sealed = n;
   // Lazy merge-sort discipline: merging whenever the newest run is no
-  // shorter than its predecessor keeps run lengths strictly decreasing
-  // (at most log n runs) at O(n log n) total maintenance cost.
+  // shorter than its predecessor keeps run lengths strictly decreasing at
+  // O(n log n) total maintenance cost; merging the two newest runs past
+  // kMaxSortedRuns bounds what a point lookup's view has to hold.
   while (table->run_ends.size() >= 2) {
     const std::size_t k = table->run_ends.size();
     const std::uint32_t mid = table->run_ends[k - 2];
     const std::uint32_t begin = k >= 3 ? table->run_ends[k - 3] : 0;
-    if (table->run_ends[k - 1] - mid < mid - begin) break;
+    if (table->run_ends[k - 1] - mid < mid - begin && k <= kMaxSortedRuns) {
+      break;
+    }
     BDDFC_OBS_SPAN(merge_span, "storage", "storage.run_merge");
     merge_span.Arg("rows", table->run_ends[k - 1] - begin);
     static obs::Counter* merges =
@@ -180,12 +183,26 @@ void FactStore::SealTable(PredTable* table) {
 
 void FactStore::EnsureRuns() const {
   if (runs_current_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::mutex> lock(runs_mutex_);
+  std::lock_guard<std::mutex> lock(lazy_mutex_);
   if (runs_current_.load(std::memory_order_relaxed)) return;
   for (const std::unique_ptr<PredTable>& table : tables_) {
     if (table != nullptr) SealTable(table.get());
   }
   runs_current_.store(true, std::memory_order_release);
+}
+
+void FactStore::EnsureActiveDomain() const {
+  // Mutation never runs beside a query, so atoms_ is stable here.
+  const std::size_t n = atoms_.size();
+  if (adom_scanned_.load(std::memory_order_acquire) == n) return;
+  std::lock_guard<std::mutex> lock(lazy_mutex_);
+  for (std::size_t i = adom_scanned_.load(std::memory_order_relaxed); i < n;
+       ++i) {
+    for (Term t : atoms_[i].args()) {
+      if (adom_set_.insert(t).second) adom_.push_back(t);
+    }
+  }
+  adom_scanned_.store(n, std::memory_order_release);
 }
 
 const std::vector<std::uint32_t>& FactStore::AtomsWith(
@@ -198,13 +215,17 @@ IndexView FactStore::AtomsWithIn(PredicateId pred, std::uint32_t lo,
                                  std::uint32_t hi) const {
   if (lo >= hi) return IndexView();
   const std::vector<std::uint32_t>& indices = AtomsWith(pred);
-  const std::uint32_t* begin = indices.data();
-  const std::uint32_t* end = begin + indices.size();
+  const std::uint32_t* base = indices.data();
+  const std::uint32_t* begin = base;
+  const std::uint32_t* end = base + indices.size();
   if (lo > 0) begin = std::lower_bound(begin, end, lo);
   if (indices.empty() || hi <= indices.back()) {
     end = std::lower_bound(begin, end, hi);
   }
-  return BorrowView(begin, end);
+  IndexView view = MakeView(base, /*rows=*/nullptr);
+  view.AddSlice(static_cast<std::uint32_t>(begin - base),
+                static_cast<std::uint32_t>(end - base));
+  return view;
 }
 
 IndexView FactStore::AtomsWithIn(PredicateId pred, int pos, Term t,
@@ -221,35 +242,43 @@ IndexView FactStore::AtomsWithIn(PredicateId pred, int pos, Term t,
   }
   EnsureRuns();
   // Local rows whose global index falls in [lo, hi): `rows` is ascending,
-  // so they form the contiguous local range [rlo, rhi).
-  const auto rows_begin = table.rows.begin();
-  const std::uint32_t rlo = static_cast<std::uint32_t>(
-      std::lower_bound(rows_begin, table.rows.end(), lo) - rows_begin);
-  const std::uint32_t rhi = static_cast<std::uint32_t>(
-      std::lower_bound(rows_begin, table.rows.end(), hi) - rows_begin);
+  // so they form the contiguous local range [rlo, rhi). A window covering
+  // the whole table (the usual homomorphism-search probe) needs no clamp.
+  const std::vector<std::uint32_t>& rows = table.rows;
+  const auto local = [&rows](std::uint32_t global) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(rows.begin(), rows.end(), global) - rows.begin());
+  };
+  const std::uint32_t n = static_cast<std::uint32_t>(rows.size());
+  const std::uint32_t rlo = lo == 0 ? 0 : local(lo);
+  const std::uint32_t rhi = n == 0 || hi > rows.back() ? n : local(hi);
   if (rlo >= rhi) return IndexView();
+  const bool clamp = rlo > 0 || rhi < n;
   const std::vector<Term>& column = table.columns[pos];
-  const std::vector<std::uint32_t>& perm = table.perms[pos];
-  std::vector<std::uint32_t> out;
+  const std::uint32_t* perm = table.perms[pos].data();
+  // One slice per run. Each run covers a contiguous, ascending range of
+  // local rows, so the slices, in run order, ascend as the contract
+  // requires; the view reads them through `rows`.
+  IndexView view = MakeView(perm, rows.data());
   std::uint32_t run_begin = 0;
   for (const std::uint32_t run_end : table.run_ends) {
     // Entries with term == t form a contiguous (term, row)-sorted span.
-    auto first = std::lower_bound(
-        perm.begin() + run_begin, perm.begin() + run_end, t,
+    const std::uint32_t* first = std::lower_bound(
+        perm + run_begin, perm + run_end, t,
         [&column](std::uint32_t r, Term v) { return column[r] < v; });
-    auto last = std::upper_bound(
-        first, perm.begin() + run_end, t,
+    const std::uint32_t* last = std::upper_bound(
+        first, perm + run_end, t,
         [&column](Term v, std::uint32_t r) { return v < column[r]; });
-    // Within the span local rows ascend; clamp to [rlo, rhi).
-    first = std::lower_bound(first, last, rlo);
-    last = std::lower_bound(first, last, rhi);
-    for (auto it = first; it != last; ++it) out.push_back(table.rows[*it]);
+    if (clamp) {
+      // Within the span local rows ascend; clamp to [rlo, rhi).
+      first = std::lower_bound(first, last, rlo);
+      last = std::lower_bound(first, last, rhi);
+    }
+    view.AddSlice(static_cast<std::uint32_t>(first - perm),
+                  static_cast<std::uint32_t>(last - perm));
     run_begin = run_end;
   }
-  // Already in the ascending order the contract requires: each run covers
-  // a contiguous, ascending range of local rows, so the per-run slices,
-  // concatenated in run order, ascend.
-  return IndexView(std::move(out));
+  return view;
 }
 
 SortedRunsView FactStore::SortedRuns(PredicateId pred, int pos) const {

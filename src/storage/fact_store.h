@@ -17,23 +17,29 @@
 // lookups binary-search per-position permutation arrays kept as *sorted
 // runs*: each batch of appended rows is sealed into a run sorted by (term,
 // row), and runs are merged lazily with a merge-sort discipline (merge
-// while the newest run is no shorter than its predecessor), so maintenance
-// is O(n log n) total and every lookup touches at most O(log n) runs.
-// Exact membership uses a flat open-addressing table of atom indices (8
-// bytes per atom at 50% load). Index memory is O(atoms): 4 bytes per
-// index entry, no per-key allocation.
+// while the newest run is no shorter than its predecessor, or while there
+// are more than kMaxSortedRuns), so maintenance is O(n log n) total and
+// every lookup touches at most kMaxSortedRuns runs. A lookup returns a
+// view of the matching per-run slices, copying nothing. Exact membership
+// uses a flat open-addressing table of atom indices (8 bytes per atom at
+// 50% load). Index memory is O(atoms): 4 bytes per index entry, no
+// per-key allocation.
 //
 // Thread model: mutation (AddAtom/AddAtoms) is single-threaded; queries are
 // const and may run concurrently from many threads (the parallel chase
-// does). Runs are sealed lazily on the first query after a mutation,
-// behind a double-checked lock, so bulk loads sort once per batch and the
-// first concurrent query wave is safe.
+// does), but never beside a mutation. Derived state is built lazily on the
+// first query that needs it, behind a double-checked lock: runs are sealed
+// on the first index query after a mutation (so bulk loads sort once per
+// batch), and the active domain catches up on the first ActiveDomain() or
+// InActiveDomain() call (so appends never touch it).
 
 #ifndef BDDFC_STORAGE_FACT_STORE_H_
 #define BDDFC_STORAGE_FACT_STORE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <unordered_set>
@@ -47,32 +53,126 @@
 
 namespace bddfc {
 
-/// A view over atom indices in ascending order. Views either *borrow* a
-/// contiguous range of one of the store's index vectors (per-predicate
-/// scans) or *own* a materialized result (point lookups merge several
-/// sorted runs into a private buffer).
+/// Upper bound on the sorted runs of one predicate's table. The lazy merge
+/// policy keeps run lengths strictly decreasing, which alone bounds the
+/// count only by O(sqrt n); past this cap the two newest (shortest) runs
+/// are merged as well, so a point lookup is at most this many slices.
+inline constexpr std::size_t kMaxSortedRuns = 16;
+
+/// A borrowed view over atom indices in ascending order: up to
+/// kMaxSortedRuns slices of one of the store's index arrays. A
+/// per-predicate scan is one slice of the predicate's row index; a point
+/// lookup is one slice per sorted run, of local rows that the view reads
+/// through the predicate's row index. Nothing is copied, so size() is
+/// known up front and a lookup never allocates.
 ///
-/// Borrowed views are invalidated by any mutation of the store — the
-/// underlying vectors may reallocate — so never hold one across AddAtom /
-/// AddAtoms. In debug builds a borrowed view captures the store's
-/// generation counter and every deref checks it, turning the silent
-/// use-after-invalidation footgun into an immediate CHECK failure.
+/// Views are invalidated by any mutation of the store — the underlying
+/// vectors may reallocate — so never hold one across AddAtom / AddAtoms.
+/// In debug builds a view captures the store's generation counter and
+/// every deref checks it, turning the silent use-after-invalidation
+/// footgun into an immediate CHECK failure.
 class IndexView {
  public:
+  /// Forward iterator over the viewed atom indices.
+  class Iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = std::uint32_t;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const std::uint32_t*;
+    using reference = std::uint32_t;
+
+    Iterator() = default;
+
+    std::uint32_t operator*() const {
+      return view_->rows_ == nullptr ? *at_ : view_->rows_[*at_];
+    }
+    Iterator& operator++() {
+      if (++at_ == slice_end_) EnterSlice(slice_ + 1);
+      return *this;
+    }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++*this;
+      return before;
+    }
+    // Slices never overlap, so the position alone identifies an iterator;
+    // the end iterator's position is null.
+    friend bool operator==(const Iterator& a, const Iterator& b) {
+      return a.at_ == b.at_;
+    }
+    friend bool operator!=(const Iterator& a, const Iterator& b) {
+      return a.at_ != b.at_;
+    }
+
+   private:
+    friend class IndexView;
+    Iterator(const IndexView* view, std::uint32_t slice) : view_(view) {
+      EnterSlice(slice);
+    }
+    void EnterSlice(std::uint32_t slice) {
+      slice_ = slice;
+      if (slice < view_->num_slices_) {
+        at_ = view_->base_ + view_->slices_[slice].begin;
+        slice_end_ = view_->base_ + view_->slices_[slice].end;
+      } else {
+        at_ = slice_end_ = nullptr;
+      }
+    }
+
+    const IndexView* view_ = nullptr;
+    std::uint32_t slice_ = 0;
+    const std::uint32_t* at_ = nullptr;
+    const std::uint32_t* slice_end_ = nullptr;
+  };
+
   IndexView() = default;
 
-  /// Borrowed view without a generation guard (release builds).
-  IndexView(const std::uint32_t* begin, const std::uint32_t* end)
-      : begin_(begin), end_(end) {}
+  Iterator begin() const {
+    CheckGeneration();
+    return Iterator(this, 0);
+  }
+  Iterator end() const {
+    CheckGeneration();
+    return Iterator();
+  }
+  std::size_t size() const {
+    CheckGeneration();
+    return size_;
+  }
+  bool empty() const {
+    CheckGeneration();
+    return size_ == 0;
+  }
+  /// The i-th index (walks the slices: O(kMaxSortedRuns)).
+  std::uint32_t operator[](std::size_t i) const {
+    CheckGeneration();
+    BDDFC_CHECK_LT(i, static_cast<std::size_t>(size_));
+    for (std::uint32_t k = 0;; ++k) {
+      const std::size_t length = slices_[k].end - slices_[k].begin;
+      if (i < length) {
+        const std::uint32_t entry = base_[slices_[k].begin + i];
+        return rows_ == nullptr ? entry : rows_[entry];
+      }
+      i -= length;
+    }
+  }
 
-  /// Borrowed view guarded by the issuing store's generation counter (the
-  /// guard compiles away in NDEBUG builds). The counter is shared-owned so
-  /// the check stays safe even for a view that outlives its store — the
-  /// store's destructor poisons the counter, turning that use into a CHECK
-  /// failure rather than a read of freed memory.
-  IndexView(const std::uint32_t* begin, const std::uint32_t* end,
+ private:
+  friend class FactStore;
+  struct Slice {
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+
+  // Slices of `base`; entries map through `rows` when it is non-null. The
+  // generation guard compiles away in NDEBUG builds. The counter is
+  // shared-owned so the check stays safe even for a view that outlives
+  // its store — the store's destructor poisons the counter, turning that
+  // use into a CHECK failure rather than a read of freed memory.
+  IndexView(const std::uint32_t* base, const std::uint32_t* rows,
             const std::shared_ptr<const std::uint64_t>& generation)
-      : begin_(begin), end_(end) {
+      : base_(base), rows_(rows) {
 #ifndef NDEBUG
     generation_ = generation;
     expected_generation_ = generation == nullptr ? 0 : *generation;
@@ -81,85 +181,29 @@ class IndexView {
 #endif
   }
 
-  /// Owning view over a materialized (ascending) index list.
-  explicit IndexView(std::vector<std::uint32_t> owned)
-      : owned_(std::move(owned)) {
-    begin_ = owned_.data();
-    end_ = owned_.data() + owned_.size();
+  // Appends base[begin, end) (skipped when empty); slices must be added in
+  // ascending index order.
+  void AddSlice(std::uint32_t begin, std::uint32_t end) {
+    if (begin >= end) return;
+    BDDFC_CHECK_LT(static_cast<std::size_t>(num_slices_), kMaxSortedRuns);
+    slices_[num_slices_++] = {begin, end};
+    size_ += end - begin;
   }
 
-  IndexView(const IndexView& other) { *this = other; }
-  IndexView& operator=(const IndexView& other) {
-    if (this == &other) return *this;
-    owned_ = other.owned_;
-    if (owned_.empty()) {
-      begin_ = other.begin_;
-      end_ = other.end_;
-    } else {
-      begin_ = owned_.data();
-      end_ = owned_.data() + owned_.size();
-    }
-#ifndef NDEBUG
-    generation_ = other.generation_;
-    expected_generation_ = other.expected_generation_;
-#endif
-    return *this;
-  }
-  // std::vector's heap buffer survives a move, so borrowed pointers into
-  // `owned_` stay valid; rebase anyway to keep the invariant obvious.
-  IndexView(IndexView&& other) noexcept { *this = std::move(other); }
-  IndexView& operator=(IndexView&& other) noexcept {
-    if (this == &other) return *this;
-    owned_ = std::move(other.owned_);
-    if (owned_.empty()) {
-      begin_ = other.begin_;
-      end_ = other.end_;
-    } else {
-      begin_ = owned_.data();
-      end_ = owned_.data() + owned_.size();
-    }
-#ifndef NDEBUG
-    generation_ = other.generation_;
-    expected_generation_ = other.expected_generation_;
-#endif
-    other.begin_ = other.end_ = nullptr;
-    return *this;
-  }
-
-  const std::uint32_t* begin() const {
-    CheckGeneration();
-    return begin_;
-  }
-  const std::uint32_t* end() const {
-    CheckGeneration();
-    return end_;
-  }
-  std::size_t size() const {
-    CheckGeneration();
-    return static_cast<std::size_t>(end_ - begin_);
-  }
-  bool empty() const {
-    CheckGeneration();
-    return begin_ == end_;
-  }
-  std::uint32_t operator[](std::size_t i) const {
-    CheckGeneration();
-    return begin_[i];
-  }
-
- private:
   void CheckGeneration() const {
 #ifndef NDEBUG
-    // A borrowed view whose store has since mutated points into memory the
-    // index vectors may have vacated; fail fast instead of reading it.
+    // A view whose store has since mutated points into memory the index
+    // vectors may have vacated; fail fast instead of reading it.
     BDDFC_CHECK(generation_ == nullptr ||
                 *generation_ == expected_generation_);
 #endif
   }
 
-  const std::uint32_t* begin_ = nullptr;
-  const std::uint32_t* end_ = nullptr;
-  std::vector<std::uint32_t> owned_;
+  const std::uint32_t* base_ = nullptr;
+  const std::uint32_t* rows_ = nullptr;  // null: entries are atom indices
+  std::uint32_t num_slices_ = 0;
+  std::uint32_t size_ = 0;
+  Slice slices_[kMaxSortedRuns] = {};
 #ifndef NDEBUG
   std::shared_ptr<const std::uint64_t> generation_;
   std::uint64_t expected_generation_ = 0;
@@ -180,7 +224,7 @@ class IndexView {
 /// probe term and early-exit a span once the globals leave its delta
 /// range.
 ///
-/// Lifetime mirrors a borrowed IndexView: the view is invalidated by any
+/// Lifetime mirrors IndexView: the view is invalidated by any
 /// mutation of the store, and in debug builds carries the store's
 /// generation counter so a stale deref fails a CHECK instead of reading
 /// vacated memory.
@@ -275,8 +319,8 @@ class FactStore {
 
   ~FactStore() {
 #ifndef NDEBUG
-    // Poison the shared counter: any further deref of a borrowed view
-    // (store destroyed) becomes a CHECK failure.
+    // Poison the shared counter: any further deref of a view (store
+    // destroyed) becomes a CHECK failure.
     *generation_ = ~std::uint64_t{0};
 #endif
   }
@@ -356,10 +400,17 @@ class FactStore {
   std::size_t NumRuns(PredicateId pred) const;
 
   /// The active domain: every term occurring in some atom, in first-seen
-  /// order.
-  const std::vector<Term>& ActiveDomain() const { return adom_; }
+  /// order. Derived on demand: the first call after a mutation scans the
+  /// atoms appended since the previous call (behind the same double-checked
+  /// lock as the run seal), so adding atoms never touches it. The
+  /// reference stays valid until the next mutation.
+  const std::vector<Term>& ActiveDomain() const {
+    EnsureActiveDomain();
+    return adom_;
+  }
 
   bool InActiveDomain(Term t) const {
+    EnsureActiveDomain();
     return adom_set_.find(t) != adom_set_.end();
   }
 
@@ -392,22 +443,29 @@ class FactStore {
   void EnsureRuns() const;
   static void SealTable(PredTable* table);
 
-  // Borrowed view with this store's generation guard attached (release
-  // builds hand out an unguarded view; the counter is never read there).
-  IndexView BorrowView(const std::uint32_t* begin,
-                       const std::uint32_t* end) const {
+  // Brings adom_/adom_set_ up to atoms_ (double-checked lock, like
+  // EnsureRuns).
+  void EnsureActiveDomain() const;
+
+  // An empty view over `base` (entries read through `rows` when non-null)
+  // with this store's generation guard attached (release builds hand out
+  // an unguarded view; the counter is never read there).
+  IndexView MakeView(const std::uint32_t* base,
+                     const std::uint32_t* rows) const {
 #ifndef NDEBUG
-    return IndexView(begin, end, generation_);
+    return IndexView(base, rows, generation_);
 #else
-    return IndexView(begin, end);
+    return IndexView(base, rows, nullptr);
 #endif
   }
 
   static const std::vector<std::uint32_t> kEmptyIndex;
 
   std::vector<Atom> atoms_;
-  std::vector<Term> adom_;
-  std::unordered_set<Term> adom_set_;
+  // The active domain of atoms_[0, adom_scanned_), in first-seen order.
+  mutable std::vector<Term> adom_;
+  mutable std::unordered_set<Term> adom_set_;
+  mutable std::atomic<std::size_t> adom_scanned_{0};
   // Indexed by PredicateId. Entries are heap-allocated so references the
   // store hands out (AtomsWith(pred) returns a PredTable's `rows` by
   // reference) survive the vector growing for new predicate ids.
@@ -415,10 +473,11 @@ class FactStore {
   std::vector<std::uint32_t> slots_;
   std::size_t slots_used_ = 0;
   mutable std::atomic<bool> runs_current_{true};
-  mutable std::mutex runs_mutex_;
+  // Guards the lazily derived state: run seals and the active domain.
+  mutable std::mutex lazy_mutex_;
 #ifndef NDEBUG
   // Mutation counter backing the debug-build view guard: bumped by every
-  // successful insertion, shared with borrowed views so the check survives
+  // successful insertion, shared with views so the check survives
   // the store, poisoned by the destructor.
   std::shared_ptr<std::uint64_t> generation_ =
       std::make_shared<std::uint64_t>(0);

@@ -1,6 +1,6 @@
 // Tests for the parallel execution building blocks: the work-stealing
 // ThreadPool and ParallelFor in src/base, and the pool-parallel HomSearch
-// queries (which must be bit-identical to their serial counterparts).
+// queries (which must visit exactly the serial binding rows, in order).
 
 #include <gtest/gtest.h>
 
@@ -121,20 +121,32 @@ class ParallelHomTest : public ::testing::Test {
   std::optional<Cq> query_;
 };
 
-TEST_F(ParallelHomTest, FindAllParallelMatchesSerialOrder) {
+// Every row ForEachRow visits, packed in visiting order.
+std::vector<Term> SerialRows(const HomSearch& search) {
+  std::vector<Term> rows;
+  search.ForEachRow({}, [&](const Term* row) {
+    rows.insert(rows.end(), row, row + search.num_slots());
+    return true;
+  });
+  return rows;
+}
+
+TEST_F(ParallelHomTest, ParallelRowsMatchSerialOrder) {
   for (std::uint64_t seed : {7u, 21u, 33u}) {
     Build(seed, /*num_atoms=*/300);
     HomSearch search(query_->atoms(), &*instance_);
-    const std::vector<Substitution> serial = search.FindAll();
+    const std::vector<Term> serial = SerialRows(search);
+    ASSERT_FALSE(serial.empty()) << "seed " << seed;
     for (std::size_t workers : {1u, 3u, 7u}) {
       ThreadPool pool(workers);
-      const std::vector<Substitution> parallel =
-          search.FindAllParallel(&pool);
-      ASSERT_EQ(serial.size(), parallel.size()) << "seed " << seed;
-      for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].entries(), parallel[i].entries())
-            << "seed " << seed << " hom " << i;
-      }
+      std::vector<Term> parallel;
+      const std::size_t visited =
+          search.ForEachRowParallel(&pool, {}, [&](const Term* row) {
+            parallel.insert(parallel.end(), row, row + search.num_slots());
+            return true;
+          });
+      EXPECT_EQ(visited * search.num_slots(), parallel.size());
+      EXPECT_EQ(serial, parallel) << "seed " << seed << " workers " << workers;
     }
   }
 }
@@ -149,46 +161,48 @@ TEST_F(ParallelHomTest, ExistsMatchesSerial) {
   }
 }
 
-TEST_F(ParallelHomTest, FindAllParallelRespectsLimit) {
+TEST_F(ParallelHomTest, LimitsMatchOnEveryPath) {
   Build(/*seed=*/7, /*num_atoms=*/300);
   HomSearch search(query_->atoms(), &*instance_);
-  const std::vector<Substitution> serial = search.FindAll({}, 10);
+  const std::size_t width = search.num_slots();
+  const std::vector<Term> serial = SerialRows(search);
+  ASSERT_GE(serial.size(), 10 * width);
+  // A visitor that stops after `limit` rows sees the serial prefix.
   ThreadPool pool(4);
-  const std::vector<Substitution> parallel =
-      search.FindAllParallel(&pool, {}, 10);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].entries(), parallel[i].entries());
+  for (std::size_t limit : {1u, 10u}) {
+    std::vector<Term> parallel;
+    search.ForEachRowParallel(&pool, {}, [&](const Term* row) {
+      parallel.insert(parallel.end(), row, row + width);
+      return parallel.size() < limit * width;
+    });
+    const std::size_t k = limit * width;  // terms in the first `limit` rows
+    EXPECT_EQ(parallel, std::vector<Term>(serial.begin(), serial.begin() + k));
+    EXPECT_EQ(search.FindAll({}, limit).size(), limit);
   }
+  // Limit 0 returns nothing, like every other path.
+  EXPECT_TRUE(search.FindAll({}, 0).empty());
 }
 
-TEST(ForEachFirstInTest, PartitionReproducesForEach) {
+TEST(ForEachRowFirstInTest, PartitionReproducesForEachRow) {
   Universe u;
   Instance instance = MustParseInstance(
       &u, "E(a,b). E(b,c). E(c,d). E(d,a). E(a,c). E(b,d).");
   Cq q = MustParseCq(&u, "? :- E(x,y), E(y,z)");
   HomSearch search(q.atoms(), &instance);
-  std::vector<Substitution> serial;
-  search.ForEach({}, [&](const Substitution& h) {
-    serial.push_back(h);
-    return true;
-  });
+  const std::vector<Term> serial = SerialRows(search);
+  ASSERT_FALSE(serial.empty());
   // Any partition of [0, size) must reproduce the serial enumeration when
   // chunks are visited in index order.
   const std::uint32_t n = static_cast<std::uint32_t>(instance.size());
   for (std::uint32_t split = 0; split <= n; ++split) {
-    std::vector<Substitution> chunked;
-    const auto visit = [&](const Substitution& h) {
-      chunked.push_back(h);
+    std::vector<Term> chunked;
+    const auto visit = [&](const Term* row) {
+      chunked.insert(chunked.end(), row, row + search.num_slots());
       return true;
     };
-    search.ForEachFirstIn(0, split, {}, visit);
-    search.ForEachFirstIn(split, n, {}, visit);
-    ASSERT_EQ(serial.size(), chunked.size()) << "split " << split;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].entries(), chunked[i].entries())
-          << "split " << split << " hom " << i;
-    }
+    search.ForEachRowFirstIn(0, split, {}, visit);
+    search.ForEachRowFirstIn(split, n, {}, visit);
+    EXPECT_EQ(serial, chunked) << "split " << split;
   }
 }
 

@@ -73,6 +73,7 @@ TEST_F(HomTest, FindAllCountsHomomorphisms) {
   HomSearch search(q.atoms(), &inst);
   EXPECT_EQ(search.FindAll().size(), 2u);
   EXPECT_EQ(search.FindAll({}, 1).size(), 1u);
+  EXPECT_TRUE(search.FindAll({}, 0).empty());
 }
 
 TEST_F(HomTest, MapsIntoAndEquivalence) {

@@ -2,15 +2,17 @@
 // scan of atoms() — membership and positions, both AtomsWith forms, the
 // AtomsWithIn delta views, the sorted runs, the active domain — on
 // hand-written, randomized, interleaved and wide-arity workloads. Plus
-// targeted regressions: the lazy run-merge discipline, clone equivalence,
-// reference stability, the bulk-AddAtoms Restrict/Map/DisjointUnion paths,
-// and the debug-build view generation guard.
+// targeted regressions: the lazy run-merge discipline and its run cap,
+// clone equivalence, reference stability, the bulk-AddAtoms
+// Restrict/Map/DisjointUnion paths, the lazily derived active domain, and
+// the debug-build view generation guard.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -352,6 +354,30 @@ TEST(FactStoreTest, LazyMergeKeepsRunCountLogarithmic) {
   ExpectMatchesScan(inst);
 }
 
+TEST(FactStoreTest, RunCountStaysWithinTheCap) {
+  // Sealed batches of strictly decreasing size never trigger the merge
+  // discipline on their own (40 runs here); the cap merges the newest runs
+  // so a point lookup never needs more than kMaxSortedRuns slices.
+  Universe u;
+  PredicateId e = u.InternPredicate("E", 2);
+  Instance inst(&u);
+  std::uint32_t next = 0;
+  std::size_t most_runs = 0;
+  for (int batch = 40; batch >= 1; --batch) {
+    std::vector<Atom> atoms;
+    for (int i = 0; i < batch; ++i, ++next) {
+      atoms.push_back(
+          Atom(e, {Term::MakeConstant(next % 7), Term::MakeConstant(next)}));
+    }
+    inst.AddAtoms(atoms);
+    (void)inst.AtomsWith(e, 0, atoms[0].arg(0));  // forces a seal
+    most_runs = std::max(most_runs, inst.store().NumRuns(e));
+    EXPECT_LE(inst.store().NumRuns(e), kMaxSortedRuns) << "batch " << batch;
+  }
+  EXPECT_EQ(most_runs, kMaxSortedRuns);  // the cap, not the policy, bound it
+  ExpectMatchesScan(inst);
+}
+
 TEST(FactStoreTest, PerPredicateIndexReferenceSurvivesNewPredicates) {
   // AtomsWith(pred) hands out a reference to the predicate's row index;
   // it must stay valid when later insertions introduce higher predicate
@@ -444,8 +470,106 @@ TEST(Storage, CloneEquivalenceAndIndependence) {
   ExpectMatchesScan(copy);
 }
 
+// --- Lazy active domain -----------------------------------------------------
+// The domain is derived on demand from atoms(); it must equal a first-seen
+// scan whatever mix of appends, scans and clones came before.
+
+TEST(LazyActiveDomainTest, MatchesScanUnderInterleavedAddsAndClones) {
+  Universe u;
+  PredicateId e = u.InternPredicate("E", 2);
+  PredicateId p = u.InternPredicate("P", 1);
+  Rng rng(11);
+  std::vector<Term> terms;
+  for (int i = 0; i < 40; ++i) {
+    terms.push_back(u.InternConstant("t" + std::to_string(i)));
+  }
+  const auto random_atom = [&]() {
+    const Term x = terms[rng.Below(40)];
+    if (rng.Below(3) == 0) return Atom(p, {x});
+    return Atom(e, {x, terms[rng.Below(40)]});
+  };
+  const auto expect_domain = [](const Instance& inst) {
+    const std::vector<Term> scan = ScanActiveDomain(inst);
+    // InActiveDomain first: either entry point may trigger the catch-up.
+    for (Term t : scan) EXPECT_TRUE(inst.InActiveDomain(t));
+    EXPECT_EQ(inst.ActiveDomain(), scan);
+  };
+
+  Instance inst(&u);
+  std::vector<Instance> clones;
+  for (int round = 0; round < 30; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    switch (rng.Below(4)) {
+      case 0:
+        inst.AddAtom(random_atom());
+        break;
+      case 1: {
+        std::vector<Atom> batch;
+        for (int i = 0; i < 5; ++i) batch.push_back(random_atom());
+        inst.AddAtoms(batch);
+        break;
+      }
+      case 2:
+        clones.push_back(inst);  // whatever part was scanned so far
+        break;
+      default:
+        expect_domain(inst);
+        break;
+    }
+  }
+  expect_domain(inst);
+  for (Instance& clone : clones) {
+    expect_domain(clone);
+    clone.AddAtom(Atom(p, {u.InternConstant("only_in_clone")}));
+    expect_domain(clone);
+  }
+  EXPECT_FALSE(inst.InActiveDomain(u.InternConstant("only_in_clone")));
+}
+
+TEST(LazyActiveDomainTest, CloneOfNeverScannedStore) {
+  Universe u;
+  PredicateId e = u.InternPredicate("E", 2);
+  Term a = u.InternConstant("a"), b = u.InternConstant("b"),
+       c = u.InternConstant("c");
+  Instance inst(&u);
+  inst.AddAtoms({Atom(e, {b, a}), Atom(e, {a, c})});
+  Instance copy(inst);  // nothing scanned on either side yet
+  copy.AddAtom(Atom(e, {c, c}));
+  EXPECT_EQ(copy.ActiveDomain(), (std::vector<Term>{b, a, c}));
+  EXPECT_EQ(copy.ActiveDomain(), ScanActiveDomain(copy));
+  EXPECT_EQ(inst.ActiveDomain(), ScanActiveDomain(inst));
+}
+
+TEST(LazyActiveDomainTest, ConcurrentFirstQueriesAgree) {
+  // Four readers race the first catch-up of an unscanned store.
+  Universe u;
+  PredicateId e = u.InternPredicate("E", 2);
+  Rng rng(5);
+  Instance inst(&u);
+  std::vector<Term> terms;
+  for (int i = 0; i < 300; ++i) {
+    terms.push_back(u.InternConstant("t" + std::to_string(i)));
+  }
+  for (int i = 0; i < 2000; ++i) {
+    inst.AddAtom(Atom(e, {terms[rng.Below(300)], terms[rng.Below(300)]}));
+  }
+  const std::vector<Term> scan = ScanActiveDomain(inst);
+  const Term absent = u.InternConstant("absent");
+  std::vector<int> misses(4, 0);
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&inst, &scan, &misses, absent, r] {
+      for (Term t : scan) misses[r] += inst.InActiveDomain(t) ? 0 : 1;
+      misses[r] += inst.InActiveDomain(absent) ? 1 : 0;
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(misses, std::vector<int>(4, 0));
+  EXPECT_EQ(inst.ActiveDomain(), scan);
+}
+
 // --- View generation guard ---------------------------------------------------
-// Borrowed views are invalidated by mutation; in debug builds the captured
+// Views are invalidated by mutation; in debug builds the captured
 // generation counter turns a deref of a stale view into a CHECK failure.
 
 #ifndef NDEBUG
@@ -478,19 +602,21 @@ TEST(StorageDeathTest, StaleSortedRunsViewDiesOnDeref) {
   EXPECT_DEATH((void)runs.term(0), "CHECK failed");
 }
 
-TEST(StorageDeathTest, OwnedViewsSurviveMutation) {
-  // Owning views (point lookups) hold a private buffer; they must stay
-  // dereferenceable across mutations.
+TEST(StorageDeathTest, StalePointViewDiesOnDeref) {
+  // Point lookups borrow the sorted runs' slices like every other view, so
+  // they too are invalidated by a mutation.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
   Universe u;
   PredicateId e = u.InternPredicate("E", 2);
   Term a = u.InternConstant("a"), b = u.InternConstant("b");
   Instance inst(&u);
   inst.AddAtom(Atom(e, {a, b}));
   IndexView view = inst.AtomsWith(e, 0, a);
-  ASSERT_EQ(view.size(), 1u);
-  inst.AddAtom(Atom(e, {b, a}));
-  EXPECT_EQ(view.size(), 1u);
+  ASSERT_EQ(view.size(), 1u);  // valid while the store is unchanged
   EXPECT_EQ(view[0], 1u);
+  inst.AddAtom(Atom(e, {b, a}));
+  EXPECT_DEATH((void)view[0], "CHECK failed");
+  EXPECT_DEATH((void)view.begin(), "CHECK failed");
 }
 #endif  // NDEBUG
 
