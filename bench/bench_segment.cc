@@ -1,14 +1,23 @@
 // bench_segment: the chase's segment engine on the two workload shapes
-// that bracket the join spectrum.
+// that bracket the join spectrum, plus a many-rule one.
 //
-//   * chain — bounded transitive closure over a 30k-node path
-//             (E(x,y), E(y,z) -> E(x,z), 3 steps, ~2.4*10^5 atoms):
-//             long chains of distinct join keys, where merge joins over
-//             the store's sorted runs replace per-trigger point lookups.
-//   * wide  — one join step over a wide binary EDB
-//             (R(x,y), S(y,z) -> T(x,z), ~10^6 base facts): a single
-//             rule/step pair producing one large candidate segment, whose
-//             anchor scan the chunked fan-out splits across the pool.
+//   * chain   — bounded transitive closure over a 30k-node path
+//               (E(x,y), E(y,z) -> E(x,z), 3 steps, ~2.4*10^5 atoms):
+//               long chains of distinct join keys, where merge joins over
+//               the store's sorted runs replace per-trigger point lookups.
+//   * wide    — one join step over a wide binary EDB
+//               (R(x,y), S(y,z) -> T(x,z), ~10^6 base facts): a single
+//               rule/step pair producing one large candidate segment,
+//               whose anchor scan the chunked fan-out splits across the
+//               pool.
+//   * layered — 2 disconnected groups of 6 layers over a 96-node path:
+//               layer l copies its edges into layer l+1 and closes its
+//               own transitive closure (34 rules, ~100 steps to
+//               saturation, 55,861 atoms). After the first six steps
+//               every delta holds closure (T) atoms only, so the 34 of the
+//               46 (rule, anchor) plans anchored at an edge (E) predicate
+//               have nothing to scan: a chase that must not pay for rules
+//               with nothing new.
 //
 // Per point, BENCH_bench_segment.json carries <point>/chase_ms and
 // <point>/atoms. Every thread count must land on the exact same atom count
@@ -26,6 +35,7 @@
 #include "bench/harness.h"
 #include "chase/chase.h"
 #include "logic/instance.h"
+#include "logic/parser.h"
 #include "logic/rule.h"
 
 namespace {
@@ -120,6 +130,37 @@ void BuildWide(Workload* w) {
   w->max_steps = 1;
 }
 
+// Many rules, sparse deltas: kGroups groups of kLayers layers. Layer l of a
+// group copies E_l into E_{l+1} and closes T_l := TC(E_l) with a linear
+// recursive rule; the base facts are one kChain-node path per group.
+void BuildLayered(Workload* w) {
+  w->name = "layered";
+  constexpr std::size_t kGroups = 2;
+  constexpr std::size_t kLayers = 6;
+  constexpr std::size_t kChain = 96;
+  std::string rules;
+  std::string facts;
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    const std::string group = std::to_string(g) + "_";
+    for (std::size_t l = 0; l < kLayers; ++l) {
+      const std::string e = "E" + group + std::to_string(l);
+      const std::string t = "T" + group + std::to_string(l);
+      rules += e + "(x,y) -> " + t + "(x,y)\n";
+      rules += t + "(x,y), " + e + "(y,z) -> " + t + "(x,z)\n";
+      if (l + 1 < kLayers) {
+        rules += e + "(x,y) -> E" + group + std::to_string(l + 1) + "(x,y)\n";
+      }
+    }
+    for (std::size_t i = 0; i + 1 < kChain; ++i) {
+      facts += "E" + group + "0(c" + group + std::to_string(i) + ",c" +
+               group + std::to_string(i + 1) + "). ";
+    }
+  }
+  w->rules = bddfc::MustParseRuleSet(&w->universe, rules);
+  w->database = bddfc::MustParseInstance(&w->universe, facts);
+  w->max_steps = 4096;
+}
+
 std::size_t TimeChase(const Workload& w, double* chase_ms) {
   ChaseOptions options;
   options.exec.max_steps = w.max_steps;
@@ -134,18 +175,18 @@ std::size_t TimeChase(const Workload& w, double* chase_ms) {
 }  // namespace
 
 BDDFC_BENCH_EXPERIMENT(segment) {
-  void (*builders[])(Workload*) = {BuildChain, BuildWide};
+  void (*builders[])(Workload*) = {BuildChain, BuildWide, BuildLayered};
 
   for (auto* build : builders) {
     Workload w;
     build(&w);
-    std::printf("  %-5s  %zu base facts, %zu rule(s), %zu step(s)\n", w.name,
-                w.database.size(), w.rules.size(), w.max_steps);
+    std::printf("  %-7s  %zu base facts, %zu rule(s), %zu step(s)\n",
+                w.name, w.database.size(), w.rules.size(), w.max_steps);
     double ms = 0;
     const std::size_t atoms = TimeChase(w, &ms);
     ctx.Metric(std::string(w.name) + "/chase_ms", ms);
     ctx.Metric(std::string(w.name) + "/atoms", static_cast<double>(atoms));
-    std::printf("  %-5s  %8.1f ms  (%zu atoms)\n", w.name, ms, atoms);
+    std::printf("  %-7s  %8.1f ms  (%zu atoms)\n", w.name, ms, atoms);
   }
   return 0;
 }

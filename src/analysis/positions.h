@@ -1,7 +1,7 @@
 // The position-dependency graph of a rule set — one node per (predicate,
 // argument position), regular and special edges as in the classic weak-
 // acyclicity construction — built once and shared by every structural
-// check that reads positions: weak acyclicity (reliance.cc), the
+// check that reads positions: weak acyclicity (termination.cc), the
 // finite-rank positions of weak stickiness, and the divergence-risk lint
 // (program_analysis.cc / lint.cc).
 //

@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "analysis/reliance.h"
+#include "analysis/termination.h"
 #include "base/json.h"
 #include "logic/rule.h"
 #include "logic/universe.h"

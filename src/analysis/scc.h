@@ -1,7 +1,7 @@
 // Strongly connected components over small dense digraphs, shared by every
-// analysis that condenses a graph: rule stratification (reliance.cc), the
-// position-dependency certificates (positions.cc), and the decidable-class
-// checks (program_analysis.cc).
+// analysis that condenses a graph: the joint-acyclicity certificate
+// (termination.cc), the position-dependency certificates (positions.cc),
+// and the decidable-class checks (program_analysis.cc).
 
 #ifndef BDDFC_ANALYSIS_SCC_H_
 #define BDDFC_ANALYSIS_SCC_H_

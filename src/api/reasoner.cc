@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "base/check.h"
-#include "chase/rule_scheduler.h"
 #include "obs/obs.h"
 
 namespace bddfc {
@@ -280,8 +279,6 @@ void Reasoner::DriveChase(std::size_t target_steps, bool incremental) {
   stats_.chase_hit_bounds = chase_->HitBounds();
   stats_.chase_atoms = chase_->Result().size();
   stats_.triggers_fired = chase_->TriggersFired();
-  stats_.num_strata = chase_->scheduler().num_strata();
-  stats_.rules_skipped = chase_->scheduler().stats().skipped_total();
 }
 
 TerminationCertificate Reasoner::certificate() {

@@ -49,7 +49,7 @@
 #include <vector>
 
 #include "analysis/program_analysis.h"
-#include "analysis/reliance.h"
+#include "analysis/termination.h"
 #include "base/hash.h"
 #include "base/thread_pool.h"
 #include "chase/chase.h"
@@ -92,7 +92,7 @@ const char* ToString(StrategyDecision decision);
 
 /// Session-wide configuration.
 ///
-/// Execution knobs (schedule, threads, bounds) live in
+/// Execution knobs (threads, bounds) live in
 /// `chase.exec` (ExecutionConfig) and govern the whole session: the chase
 /// materialization and prepared-query evaluation share one configuration
 /// and one thread pool. `chase.exec.num_threads` is plumbed both into the
@@ -100,7 +100,7 @@ const char* ToString(StrategyDecision decision);
 /// over the session pool); answers are identical at any thread count.
 struct ReasonerOptions {
   AnswerStrategy strategy = AnswerStrategy::kAuto;
-  /// Chase variant, schedule and bounds for the kMaterialize path (see
+  /// Chase variant and bounds for the kMaterialize path (see
   /// ChaseOptions::exec for the unified execution configuration).
   ChaseOptions chase;
   /// Rewriting bounds for the explicit kRewrite strategy. The facade trims
@@ -192,10 +192,10 @@ struct ReasonerStats {
   std::size_t auto_picked_materialize = 0;
   std::size_t facts_added = 0;
   std::size_t incremental_runs = 0;
-  /// Rule-scheduling counters of the materialization (see
-  /// src/chase/rule_scheduler.h): strata of the schedule (1 under kFlat)
-  /// and rule-enumerations the stratified schedule avoided.
-  std::size_t num_strata = 0;
+  /// Always 0: every chase step searches every rule. Kept only because the
+  /// repository benchmark reads it (perfbench/src/serve.cc reports it as
+  /// `chase.rules_skipped`), and perfbench/ changes only together with the
+  /// benchmark; ROADMAP.md lists its removal.
   std::size_t rules_skipped = 0;
   /// The structural termination certificate of the rule set, as computed
   /// by the first kAuto Prepare() on a non-oblivious chase variant
@@ -401,7 +401,7 @@ class Reasoner {
   const ReasonerStats& stats() const { return stats_; }
 
   /// The rule set's structural termination certificate (weak/joint
-  /// acyclicity; src/analysis/reliance.h), computed lazily on first use
+  /// acyclicity; src/analysis/termination.h), computed lazily on first use
   /// and cached. A non-kNone certificate guarantees the semi-oblivious
   /// and restricted chase variants terminate on every instance; kAuto
   /// consults it before spending probe-rewriting budget.

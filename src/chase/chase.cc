@@ -8,22 +8,11 @@
 #include "base/check.h"
 #include "base/hash.h"
 #include "base/thread_pool.h"
-#include "chase/rule_scheduler.h"
 #include "chase/segment_engine.h"
 #include "homomorphism/homomorphism.h"
 #include "obs/obs.h"
 
 namespace bddfc {
-
-const char* ToString(ChaseSchedule schedule) {
-  switch (schedule) {
-    case ChaseSchedule::kFlat:
-      return "flat";
-    case ChaseSchedule::kStratified:
-      return "stratified";
-  }
-  return "?";
-}
 
 std::size_t ObliviousChase::TriggerKeyHash::operator()(
     const TriggerKey& k) const {
@@ -80,22 +69,18 @@ ObliviousChase::ObliviousChase(const Instance& database, RuleSet rules,
   if (pool_ != nullptr) num_threads_ = pool_->num_workers() + 1;
   if (num_threads_ == 1) pool_ = nullptr;
   segment_ = std::make_unique<SegmentEngine>(&instance_, &rules_);
-  if (options_.exec.schedule == ChaseSchedule::kStratified) {
-    scheduler_ = RuleScheduler::Stratified(rules_, universe(),
-                                           options_.naive_enumeration);
-  } else {
-    scheduler_ = RuleScheduler::Flat(rules_.size());
-  }
+  fired_by_rule_.assign(rules_.size(), 0);
   metrics_ = obs::ResolveMetrics(options_.exec.metrics);
   metric_step_ = metrics_->GetGauge("chase.step");
   metric_atoms_ = metrics_->GetGauge("chase.atoms");
   metric_fired_ = metrics_->GetCounter("chase.triggers_fired");
   metric_atoms_->Set(static_cast<std::int64_t>(instance_.size()));
-  scheduler_->set_metrics(metrics_);
 }
 
 std::size_t ObliviousChase::TriggersFired() const {
-  return scheduler_->stats().fired_total();
+  std::size_t total = 0;
+  for (std::size_t fired : fired_by_rule_) total += fired;
+  return total;
 }
 
 ObliviousChase::~ObliviousChase() = default;
@@ -148,12 +133,6 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
           : 0;
   const std::uint32_t delta_end =
       static_cast<std::uint32_t>(instance_.size());
-  // The scheduler decides which rules enumerate this round and with which
-  // window: the flat schedule hands every rule the global window computed
-  // above (bit-identical to the pre-scheduler loop); the stratified one
-  // plans only the active strata's rules, each at its own delta cursor.
-  const std::vector<RuleJob> jobs =
-      scheduler_->PlanRound(!delta_mode, delta_begin, instance_);
   // The ledger probe; it runs on the pool workers while fired_ is frozen.
   // Each thread refills one scratch key, so a probe allocates only while
   // that key grows to the widest identity. The firing loop below re-checks
@@ -168,12 +147,11 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   };
   BDDFC_OBS_SPAN(enumerate_span, "chase", "chase.enumerate");
   if (options_.naive_enumeration) {
-    for (const RuleJob& job : jobs) {
-      BDDFC_CHECK(job.full);
-      const std::vector<Term>& vars = rules_[job.rule_index].body_vars();
-      // One scratch candidate per job; only kept triggers are copied out.
-      TriggerCandidate c{job.rule_index, std::vector<Term>(vars.size())};
-      rule_searches_[job.rule_index].ForEach({}, [&](const Substitution& h) {
+    for (std::size_t r = 0; r < rules_.size(); ++r) {
+      const std::vector<Term>& vars = rules_[r].body_vars();
+      // One scratch candidate per rule; only kept triggers are copied out.
+      TriggerCandidate c{r, std::vector<Term>(vars.size())};
+      rule_searches_[r].ForEach({}, [&](const Substitution& h) {
         for (std::size_t i = 0; i < vars.size(); ++i) {
           c.body_image[i] = h.Apply(vars[i]);
         }
@@ -182,30 +160,15 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
       });
     }
   } else {
-    segment_->CollectJobs(jobs, delta_end, pool_, keep, &candidates);
+    segment_->Collect(delta_begin, delta_end, pool_, keep, &candidates);
   }
   enumerate_span.Arg("candidates", candidates.size()).End();
 
   // Phase 2 — canonical firing order. Sorting by (rule, body image) makes
   // the step independent of enumeration order, so the naive oracle and
   // the serial and pooled enumerations produce bit-identical instances,
-  // null names and provenance. The stratified schedule refines the order
-  // with the restraint-topological firing rank: restrainers fire first,
-  // so the restricted variant sees alternative head matches in time to
-  // skip the triggers they pre-empt (still deterministic — rank, then the
-  // canonical key).
-  const std::vector<std::size_t>* ranks = scheduler_->FiringRanks();
-  if (ranks == nullptr) {
-    std::sort(candidates.begin(), candidates.end(), CanonicalTriggerLess);
-  } else {
-    std::sort(candidates.begin(), candidates.end(),
-              [ranks](const TriggerCandidate& a, const TriggerCandidate& b) {
-                if ((*ranks)[a.rule_index] != (*ranks)[b.rule_index]) {
-                  return (*ranks)[a.rule_index] < (*ranks)[b.rule_index];
-                }
-                return CanonicalTriggerLess(a, b);
-              });
-  }
+  // null names and provenance.
+  std::sort(candidates.begin(), candidates.end(), CanonicalTriggerLess);
 
   // Restricted precheck: satisfaction is monotone (the instance only
   // grows), so any candidate whose head is satisfied *now* — before this
@@ -230,7 +193,6 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   StepOutcome outcome;
   BDDFC_OBS_SPAN(fire_span, "chase", "chase.fire");
   std::size_t fired_this_step = 0;
-  std::vector<std::size_t> round_fired(rules_.size(), 0);
   // When the step may outgrow the ledger's buckets, rehash once up front
   // instead of through a cascade inside the loop. (Reserving otherwise
   // would shrink an oversized table, so the call is guarded.)
@@ -244,8 +206,8 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
       break;
     }
     // Cooperative cancellation (chase_cli's SIGINT path). Treated like an
-    // atom-budget truncation so the scheduler's cursors stay valid; never
-    // set during tests, so determinism is untouched.
+    // atom-budget truncation, so the cut round is not mistaken for
+    // saturation; never set during tests, so determinism is untouched.
     if (obs::CancelRequested()) {
       outcome.truncated = true;
       break;
@@ -307,7 +269,7 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
       for (Term v : rule.frontier()) info.frontier.push_back(h.Apply(v));
       term_info_.emplace(null, std::move(info));
     }
-    ++round_fired[candidate.rule_index];
+    ++fired_by_rule_[candidate.rule_index];
     outcome.fired = true;
     // Refresh the live-atom gauge periodically so the progress heartbeat
     // tracks long firing phases, not just step boundaries.
@@ -321,10 +283,6 @@ ObliviousChase::StepOutcome ObliviousChase::StepOnce() {
   metric_fired_->Add(fired_this_step);
   metric_atoms_->Set(static_cast<std::int64_t>(instance_.size()));
   obs::CounterEvent("chase", "chase.atoms_total", instance_.size());
-  // Close the round: accumulate per-rule counters, advance the stratified
-  // schedule's cursors and saturation flags (skipped when the atom budget
-  // truncated the firing phase — unfired candidates must stay findable).
-  scheduler_->OnRoundEnd(delta_end, round_fired, outcome.truncated);
   return outcome;
 }
 
@@ -342,14 +300,9 @@ std::size_t ObliviousChase::RunSteps(std::size_t k) {
       last_step_truncated_ = outcome.truncated;
       metric_step_->Set(static_cast<std::int64_t>(steps_executed_));
     } else if (!outcome.truncated) {
-      // A no-fire round is saturation under the flat schedule. Under the
-      // stratified one it may instead be a transition: the round
-      // saturated its active strata, whose dependents activate next
-      // round. Transition rounds are not chase steps.
-      if (scheduler_->AllSaturated()) {
-        saturated_ = true;
-        obs::Instant("chase", "chase.saturated", "step", steps_executed_);
-      }
+      // A round that fired nothing without being cut short: saturation.
+      saturated_ = true;
+      obs::Instant("chase", "chase.saturated", "step", steps_executed_);
     }
   }
   return steps_executed_;
@@ -376,9 +329,6 @@ std::size_t ObliviousChase::AddBaseFacts(const std::vector<Atom>& facts) {
   metric_atoms_->Set(static_cast<std::int64_t>(instance_.size()));
   obs::Instant("chase", "chase.add_base_facts", "added", added);
   saturated_ = false;
-  // The stratified schedule re-checks every stratum in topological order;
-  // its per-rule cursors stay valid (the new atoms sit above all of them).
-  scheduler_->OnFactsInserted();
   return added;
 }
 
@@ -576,7 +526,7 @@ Instance ChaseThenDatalog(const Instance& database,
                           std::size_t datalog_max_steps) {
   Instance first = Chase(database, existential_rules, existential_options);
   // The Datalog phase inherits the existential phase's execution
-  // configuration (schedule, threads, atom budget) with its own step bound.
+  // configuration (threads, atom budget) with its own step bound.
   ChaseOptions datalog_options;
   datalog_options.exec = existential_options.exec;
   datalog_options.exec.max_steps = datalog_max_steps;

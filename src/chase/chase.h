@@ -31,7 +31,6 @@
 
 namespace bddfc {
 
-class RuleScheduler;
 class SegmentEngine;
 class ThreadPool;
 struct TriggerCandidate;
@@ -58,37 +57,12 @@ enum class ChaseVariant {
   kRestricted,
 };
 
-/// How a chase schedules its rules across steps.
-///
-///   * kFlat — every step considers every rule (the historical behavior,
-///     bit-identical to chases run before the knob existed).
-///   * kStratified — rules are grouped into strata by the SCC condensation
-///     of their positive-reliance graph (src/analysis/reliance.h) and
-///     processed in topological order: a stratum is saturated before its
-///     dependents ever enumerate, rules whose body predicates gained no
-///     atoms since their last enumeration are skipped, and triggers fire
-///     in restraint-aware order. Produces the same result up to null
-///     renaming (CanonicalAtoms() compares equal; the restricted variant
-///     is hom-equivalent), but the step boundaries — and hence the null
-///     numbering and per-step provenance — may differ from kFlat.
-enum class ChaseSchedule {
-  kFlat,
-  kStratified,
-};
-
-/// Human-readable schedule name ("flat" / "stratified").
-const char* ToString(ChaseSchedule schedule);
-
 /// The execution knobs of a chase (or a Reasoner session): everything that
 /// steers *how* the work runs, as opposed to *what* is computed (rules,
 /// variant — those stay on ChaseOptions). Threaded verbatim through
 /// ObliviousChase (as ChaseOptions::exec), the Reasoner facade
 /// (ReasonerOptions::chase.exec), the server and chase_cli.
 struct ExecutionConfig {
-  /// Rule scheduling discipline. kFlat is bit-identical to the historical
-  /// behavior; kStratified reorders work along the reliance strata (same
-  /// result up to null renaming).
-  ChaseSchedule schedule = ChaseSchedule::kFlat;
   /// Execution threads: 1 = serial, 0 = all hardware threads. Ignored when
   /// `pool` is set.
   std::size_t num_threads = 1;
@@ -223,20 +197,18 @@ class ObliviousChase {
   /// Provenance of a chase term, or nullptr for database terms.
   const ChaseTermInfo* InfoOf(Term t) const;
 
-  /// Number of triggers fired in total. Reads the scheduler's per-rule
-  /// counters (the single source of truth since the stats unification), so
-  /// this, RuleSchedulerStats::fired_total() and the metrics registry's
-  /// `chase.triggers_fired` can never disagree.
+  /// Triggers fired per rule (indexed like rules()), over the whole run.
+  /// The firing loop increments it per fired trigger, and each step adds
+  /// the same count to the metrics registry's `chase.triggers_fired`.
+  const std::vector<std::size_t>& FiredByRule() const {
+    return fired_by_rule_;
+  }
+
+  /// Number of triggers fired in total: the sum of FiredByRule().
   std::size_t TriggersFired() const;
 
   /// Resolved execution thread count (1 = serial).
   std::size_t num_threads() const { return num_threads_; }
-
-  /// The rule scheduler driving the per-step rule loop (flat pass-through
-  /// or reliance-stratified, per ExecutionConfig::schedule). Exposes
-  /// per-rule fired/skipped counters, the stratification and the reliance
-  /// graph (see src/chase/rule_scheduler.h).
-  const RuleScheduler& scheduler() const { return *scheduler_; }
 
   /// Provenance of one atom of Result(): the trigger that first derived
   /// it (database atoms have `database == true`).
@@ -305,8 +277,6 @@ class ObliviousChase {
   std::size_t num_threads_ = 1;
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_ = nullptr;
-  // Per-round rule scheduling (never null; flat by default).
-  std::unique_ptr<RuleScheduler> scheduler_;
   // The set-at-a-time candidate enumerator (never null).
   std::unique_ptr<SegmentEngine> segment_;
   std::size_t steps_executed_ = 0;
@@ -314,6 +284,7 @@ class ObliviousChase {
   bool hit_bounds_ = false;
   bool last_step_truncated_ = false;
   std::unordered_set<TriggerKey, TriggerKeyHash> fired_;
+  std::vector<std::size_t> fired_by_rule_;  // parallel to rules_
   // Metrics instruments (resolved from options_.exec.metrics; never null).
   // The gauges are updated mid-step so the progress heartbeat sees live
   // values; all updates are relaxed atomics and never steer execution.

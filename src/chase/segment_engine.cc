@@ -118,13 +118,15 @@ namespace {
 
 // Minimum anchor atoms per chunk; below this the scheduling overhead
 // outweighs the join work.
-constexpr std::uint32_t kScanGrain = 128;
+constexpr std::size_t kScanGrain = 128;
 
-// Chunk width that splits a scan of `range` > 0 atoms into at most
-// 2*threads pieces of at least ~kScanGrain atoms each.
-std::uint32_t ChunkSize(std::uint32_t range, std::size_t threads) {
+// Chunk width that splits a scan of `range` > 0 atom indices, holding
+// `anchor_atoms` > 0 atoms of the plan's anchor predicate, into at most
+// 2*threads pieces of ~kScanGrain anchor atoms or more each.
+std::uint32_t ChunkSize(std::uint32_t range, std::size_t anchor_atoms,
+                        std::size_t threads) {
   const std::size_t chunks = std::min<std::size_t>(
-      2 * threads, (range + kScanGrain - 1) / kScanGrain);
+      2 * threads, (anchor_atoms + kScanGrain - 1) / kScanGrain);
   return (range + static_cast<std::uint32_t>(chunks) - 1) /
          static_cast<std::uint32_t>(chunks);
 }
@@ -335,40 +337,44 @@ void SegmentEngine::ExecuteAnchor(std::size_t rule_index,
   anchor_span.Arg("candidates", out->size() - out_before);
 }
 
-void SegmentEngine::CollectJobs(const std::vector<RuleJob>& jobs,
-                                std::uint32_t delta_end, ThreadPool* pool,
-                                const KeepFn& keep,
-                                std::vector<TriggerCandidate>* out) const {
-  // One work unit per (job, anchor plan, scan chunk). A full job — a
-  // rule's first enumeration, searching the whole prefix as its delta —
-  // runs only the anchor-0 plan (anchors > 0 require an earlier body atom
-  // strictly below the delta, and a full window has no below-delta
-  // prefix). Without a pool each plan is one unit over its whole range.
+void SegmentEngine::Collect(std::uint32_t delta_begin,
+                            std::uint32_t delta_end, ThreadPool* pool,
+                            const KeepFn& keep,
+                            std::vector<TriggerCandidate>* out) const {
+  if (delta_begin >= delta_end) return;
+  // One work unit per (rule, anchor plan, scan chunk). The first step
+  // searches the whole prefix as its delta and runs only the anchor-0
+  // plans (anchors > 0 require an earlier body atom strictly below the
+  // delta, and a full window has no below-delta prefix). Without a pool
+  // each plan is one unit over its whole range.
   struct Unit {
     std::size_t rule_index;
     const SegmentAnchorPlan* plan;
-    std::uint32_t delta_begin;
     std::uint32_t scan_lo;
     std::uint32_t scan_hi;
   };
   const std::size_t threads = pool == nullptr ? 0 : pool->num_workers() + 1;
+  const FactStore& store = instance_->store();
+  const std::uint32_t range = delta_end - delta_begin;
   std::vector<Unit> units;
-  for (const RuleJob& job : jobs) {
-    const std::uint32_t delta_begin = job.full ? 0 : job.delta_begin;
-    if (delta_begin >= delta_end) continue;
-    const std::uint32_t range = delta_end - delta_begin;
-    const std::uint32_t chunk =
-        threads == 0 ? range : ChunkSize(range, threads);
-    for (const SegmentAnchorPlan& ap : plans_[job.rule_index].anchors) {
+  for (std::size_t r = 0; r < plans_.size(); ++r) {
+    for (const SegmentAnchorPlan& ap : plans_[r].anchors) {
       if (delta_begin == 0 && ap.anchor > 0) continue;
+      // steps[0] scans the anchor atom. With no atom of its predicate in
+      // the delta the plan finds nothing, so it gets no unit; otherwise
+      // its chunk count follows those atoms, not the whole delta.
+      const std::size_t anchor_atoms =
+          store.AtomsWithIn(ap.steps[0].pred, delta_begin, delta_end).size();
+      if (anchor_atoms == 0) continue;
+      const std::uint32_t chunk =
+          threads == 0 ? range : ChunkSize(range, anchor_atoms, threads);
       for (std::uint32_t lo = delta_begin; lo < delta_end; lo += chunk) {
-        units.push_back({job.rule_index, &ap, delta_begin, lo,
-                         std::min(delta_end, lo + chunk)});
+        units.push_back({r, &ap, lo, std::min(delta_end, lo + chunk)});
       }
     }
   }
   const auto run = [&](const Unit& u, std::vector<TriggerCandidate>* batch) {
-    ExecuteAnchor(u.rule_index, *u.plan, u.delta_begin, delta_end, u.scan_lo,
+    ExecuteAnchor(u.rule_index, *u.plan, delta_begin, delta_end, u.scan_lo,
                   u.scan_hi, keep, batch);
   };
   if (threads == 0 || units.size() <= 1) {

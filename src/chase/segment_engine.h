@@ -21,12 +21,17 @@
 // ledger filter, which is why both hand the canonical firing phase the
 // same candidates and produce bit-identical chases.
 //
+// Empty anchors: a plan whose anchor predicate has no atom in the delta
+// has no homomorphism to find, so it is not run at all. A chase with many
+// rules and a sparse delta (only a few predicates grow per step) runs only
+// the plans whose anchor predicates grew.
+//
 // Fan-out: with a thread pool, each (rule, anchor) plan's scan of its
-// anchor range is split into chunks (at least ~128 atoms, at most two per
-// execution thread), and every chunk runs the whole plan as an
-// independent pool task. The anchor atom's image lies in exactly one
-// chunk, so the chunks partition the plan's homomorphisms and the
-// exactly-once property survives. Workers also probe the chase's fired
+// anchor range is split into chunks (at least ~128 of the plan's anchor
+// atoms each, at most two per execution thread), and every chunk runs the
+// whole plan as an independent pool task. The anchor atom's image lies in
+// exactly one chunk, so the chunks partition the plan's homomorphisms and
+// the exactly-once property survives. Workers also probe the chase's fired
 // ledger (frozen during enumeration), so only surviving candidates are
 // materialized and merged.
 //
@@ -47,7 +52,6 @@
 #include <vector>
 
 #include "base/thread_pool.h"
-#include "chase/rule_scheduler.h"
 #include "logic/instance.h"
 #include "logic/rule.h"
 
@@ -133,7 +137,7 @@ SegmentRulePlan CompileSegmentPlan(const Rule& rule);
 
 /// Executes compiled plans against a growing instance. The engine holds
 /// only borrowed pointers (instance and rules must outlive it) and caches
-/// the compiled plans; all state mutated per step is local to CollectJobs.
+/// the compiled plans; all state mutated per step is local to Collect.
 class SegmentEngine {
  public:
   /// Decides whether an enumerated candidate is kept (the chase's fired
@@ -147,18 +151,18 @@ class SegmentEngine {
     return plans_[rule_index];
   }
 
-  /// Appends to `out` every body homomorphism (as a TriggerCandidate body
-  /// image) that is new for the round planned by `jobs` and that `keep`
-  /// accepts: each rule runs with its own delta window, as planned by a
-  /// RuleScheduler. A `full` job executes only the rule's anchor-0 plan
-  /// over [0, delta_end) (the first-step enumeration); a delta job
-  /// executes every anchor plan over [job.delta_begin, delta_end). When
-  /// `pool` is non-null every plan's anchor range is chunked and the
-  /// chunks fan out over it; the caller's canonical sort erases the
-  /// nondeterministic batch order. Read-only with respect to the instance.
-  void CollectJobs(const std::vector<RuleJob>& jobs, std::uint32_t delta_end,
-                   ThreadPool* pool, const KeepFn& keep,
-                   std::vector<TriggerCandidate>* out) const;
+  /// Appends to `out` every body homomorphism of every rule (as a
+  /// TriggerCandidate body image) that is new for the step whose delta is
+  /// [delta_begin, delta_end) and that `keep` accepts. delta_begin == 0 is
+  /// the first step: the whole prefix is the delta, and only each rule's
+  /// anchor-0 plan runs. Plans whose anchor predicate has no atom in the
+  /// delta are skipped. When `pool` is non-null every remaining plan's
+  /// anchor range is chunked and the chunks fan out over it; the caller's
+  /// canonical sort erases the nondeterministic batch order. Read-only
+  /// with respect to the instance.
+  void Collect(std::uint32_t delta_begin, std::uint32_t delta_end,
+               ThreadPool* pool, const KeepFn& keep,
+               std::vector<TriggerCandidate>* out) const;
 
  private:
   // Runs one plan with its anchor's image restricted to [scan_lo, scan_hi)

@@ -54,7 +54,7 @@ namespace obs {
 /// string literals (or otherwise outlive the session). Fixed-size on
 /// purpose: recording must never allocate.
 struct TraceEvent {
-  const char* cat = nullptr;   ///< category ("chase", "sched", ...)
+  const char* cat = nullptr;   ///< category ("chase", "storage", ...)
   const char* name = nullptr;  ///< event name ("chase.step", ...)
   char phase = 'X';            ///< 'X' complete, 'i' instant, 'C' counter
   std::uint32_t tid = 0;       ///< session-assigned dense thread id

@@ -55,8 +55,6 @@ void ProgressMonitor::PrintLine(bool final_line) {
   const std::int64_t atoms = registry_->GetGauge("chase.atoms")->Value();
   const std::uint64_t triggers =
       registry_->GetCounter("chase.triggers_fired")->Value();
-  const std::int64_t live_rules =
-      registry_->GetGauge("sched.active_rules")->Value();
   const double rss_mb =
       static_cast<double>(CurrentRssBytes()) / (1024.0 * 1024.0);
   const double elapsed_s =
@@ -102,10 +100,8 @@ void ProgressMonitor::PrintLine(bool final_line) {
 
   std::fprintf(out_,
                "[progress] step %" PRId64 "  atoms %" PRId64 " (%+" PRId64
-               ", %.0f/s)  triggers %" PRIu64 "  rules %" PRId64
-               "  rss %.0f MB%s\n",
-               step, atoms, delta, rate, triggers, live_rules, rss_mb,
-               suffix);
+               ", %.0f/s)  triggers %" PRIu64 "  rss %.0f MB%s\n",
+               step, atoms, delta, rate, triggers, rss_mb, suffix);
   std::fflush(out_);
 }
 

@@ -4,12 +4,12 @@
 //
 // The monitor never touches engine state — it reads only the registry's
 // relaxed-atomic gauges/counters (chase.step, chase.atoms,
-// chase.triggers_fired, sched.active_rules) plus the process RSS, so it is
-// race-free against a running chase at any thread count and costs the
-// engine nothing. chase_cli starts one under `--progress[=MS]`; the
-// watchdog arms automatically when the caller passes the chase's atom
-// budget (approaching the budget is the observable signature of a
-// diverging chase or of `kAuto`'s probe burning its budget).
+// chase.triggers_fired) plus the process RSS, so it is race-free against
+// a running chase at any thread count and costs the engine nothing.
+// chase_cli starts one under `--progress[=MS]`; the watchdog arms
+// automatically when the caller passes the chase's atom budget
+// (approaching the budget is the observable signature of a diverging
+// chase or of `kAuto`'s probe burning its budget).
 
 #ifndef BDDFC_OBS_PROGRESS_H_
 #define BDDFC_OBS_PROGRESS_H_

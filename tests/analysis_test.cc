@@ -1,7 +1,6 @@
-// Tests for the rule reliance analysis (src/analysis/reliance.h): the
-// positive-reliance and restraint edges, the SCC stratification, and the
-// weak/joint acyclicity termination certificates — plus the Reasoner's
-// kAuto consultation of the certificate.
+// Tests for the weak/joint acyclicity termination certificates
+// (src/analysis/termination.h) — plus the Reasoner's kAuto consultation
+// of the certificate.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +11,7 @@
 #include <vector>
 
 #include "analysis/program_analysis.h"
-#include "analysis/reliance.h"
+#include "analysis/termination.h"
 #include "api/reasoner.h"
 #include "chase/chase.h"
 #include "generators/workload.h"
@@ -29,92 +28,6 @@ class AnalysisTest : public ::testing::Test {
 
   Universe u_;
 };
-
-TEST_F(AnalysisTest, PositiveRelianceChain) {
-  // 0 feeds 1 feeds 2; nothing flows backwards.
-  RuleSet rules = Rules(
-      "A(x,y) -> B(x,y)\n"
-      "B(x,y) -> C(x,y)\n"
-      "C(x,y) -> D(x,y)\n");
-  RelianceGraph g = BuildRelianceGraph(rules, &u_);
-  EXPECT_TRUE(g.HasPositive(0, 1));
-  EXPECT_TRUE(g.HasPositive(1, 2));
-  EXPECT_FALSE(g.HasPositive(1, 0));
-  EXPECT_FALSE(g.HasPositive(2, 1));
-  EXPECT_FALSE(g.HasPositive(0, 2));  // no shared predicate
-  EXPECT_FALSE(g.HasPositive(0, 0));
-}
-
-TEST_F(AnalysisTest, SelfRelianceOfRecursiveRule) {
-  RuleSet rules = Rules("E(x,y), E(y,z) -> E(x,z)\n");
-  RelianceGraph g = BuildRelianceGraph(rules, &u_);
-  EXPECT_TRUE(g.HasPositive(0, 0));
-}
-
-TEST_F(AnalysisTest, NoEdgeWithoutPredicateOverlap) {
-  RuleSet rules = Rules(
-      "A(x,y) -> B(x,y)\n"
-      "C(x,y) -> D(x,y)\n");
-  RelianceGraph g = BuildRelianceGraph(rules, &u_);
-  EXPECT_EQ(g.num_positive_edges(), 0u);
-}
-
-TEST_F(AnalysisTest, RestraintOnlyTowardExistentialRules) {
-  // Rule 1 invents B-atoms; rule 0 also produces B-atoms, so firing 0 can
-  // satisfy a pending trigger of 1 (restraint 0 ⊸ 1). Rule 0 has no
-  // existentials, so nothing restrains it.
-  RuleSet rules = Rules(
-      "C(x,y) -> B(x,y)\n"
-      "A(x) -> B(x,z)\n");
-  RelianceGraph g = BuildRelianceGraph(rules, &u_);
-  EXPECT_TRUE(g.HasRestraint(0, 1));
-  EXPECT_FALSE(g.HasRestraint(1, 0));
-  EXPECT_FALSE(g.HasRestraint(0, 0));
-}
-
-TEST_F(AnalysisTest, RestraintRespectsPinnedFrontier) {
-  // Rule 1's head B(x,x) needs the two arguments equal; rule 0 invents
-  // B(x,z) with z existential — a null can never cover the pinned frontier
-  // pair (x,x) ... but piece-unification is an over-approximation that only
-  // forbids unifying *answer* (frontier) variables of the query with
-  // existentials of the producing rule. Here the frontier x of rule 1
-  // would have to unify with rule 0's existential z, which is forbidden.
-  RuleSet rules = Rules(
-      "A(x) -> B(x,z)\n"
-      "D(x) -> B(x,x), C(w)\n");
-  RelianceGraph g = BuildRelianceGraph(rules, &u_);
-  EXPECT_FALSE(g.HasRestraint(0, 1));
-}
-
-TEST_F(AnalysisTest, StratificationTopologicalOrder) {
-  // Chain of three strata plus one disconnected recursive stratum.
-  RuleSet rules = Rules(
-      "A(x,y) -> B(x,y)\n"
-      "B(x,y) -> C(x,y)\n"
-      "E(x,y), E(y,z) -> E(x,z)\n");
-  RelianceGraph g = BuildRelianceGraph(rules, &u_);
-  Stratification s = Stratify(g);
-  ASSERT_EQ(s.stratum_of.size(), 3u);
-  // Every positive edge runs topologically forward.
-  for (std::size_t j = 0; j < g.num_rules(); ++j) {
-    for (std::size_t i : g.positive[j]) {
-      EXPECT_LE(s.stratum_of[j], s.stratum_of[i]);
-    }
-  }
-  EXPECT_LT(s.stratum_of[0], s.stratum_of[1]);
-  // The TC rule is alone in its stratum and depends on nothing.
-  EXPECT_TRUE(s.predecessors[s.stratum_of[2]].empty());
-  EXPECT_EQ(s.strata[s.stratum_of[2]].size(), 1u);
-}
-
-TEST_F(AnalysisTest, MutuallyRecursiveRulesShareAStratum) {
-  RuleSet rules = Rules(
-      "A(x,y) -> B(y,x)\n"
-      "B(x,y) -> A(y,x)\n");
-  Stratification s = Stratify(BuildRelianceGraph(rules, &u_));
-  EXPECT_EQ(s.num_strata(), 1u);
-  EXPECT_EQ(s.stratum_of[0], s.stratum_of[1]);
-}
 
 TEST_F(AnalysisTest, DatalogIsWeaklyAcyclic) {
   RuleSet rules = Rules(

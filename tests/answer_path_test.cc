@@ -8,11 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <optional>
 #include <set>
 #include <string>
@@ -23,49 +20,8 @@
 #include "base/thread_pool.h"
 #include "homomorphism/homomorphism.h"
 #include "logic/parser.h"
-
-// Global allocation counter for the Count() budget. The full overload
-// family is replaced (see obs_test.cc for why). The deletes stay out of
-// line: inlined into a caller, gcc would see free() of operator new's
-// memory and warn (-Wmismatched-new-delete).
-static std::atomic<std::size_t> g_allocations{0};
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p,
-                                         const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+// Backs the Count() allocation budget (g_allocations).
+#include "tests/counting_new.h"
 
 namespace bddfc {
 namespace {

@@ -74,6 +74,7 @@ void ExpectIdentical(const ChaseRun& a, const ChaseRun& b) {
   EXPECT_EQ(x.LastStepTruncated(), y.LastStepTruncated());
   ASSERT_EQ(x.StepsExecuted(), y.StepsExecuted());
   EXPECT_EQ(x.TriggersFired(), y.TriggersFired());
+  EXPECT_EQ(x.FiredByRule(), y.FiredByRule());
   for (std::size_t k = 0; k <= x.StepsExecuted(); ++k) {
     EXPECT_EQ(x.AtomCountAtStep(k), y.AtomCountAtStep(k)) << "step " << k;
   }

@@ -6,6 +6,7 @@
 #include "chase/chase.h"
 #include "homomorphism/homomorphism.h"
 #include "logic/parser.h"
+#include "obs/obs.h"
 
 namespace bddfc {
 namespace {
@@ -45,7 +46,8 @@ TEST_F(ChaseTest, Example1NeverEntailsLoop) {
                                    "E(x,y) -> E(y,z)\n"
                                    "E(x,y), E(y,z) -> E(x,z)\n");
   Instance db = MustParseInstance(&u_, "E(a,b).");
-  ObliviousChase chase(db, rules, {.exec = {.max_steps = 5, .max_atoms = 20000}});
+  ObliviousChase chase(db, rules,
+                       {.exec = {.max_steps = 5, .max_atoms = 20000}});
   chase.Run();
   PredicateId e = u_.FindPredicate("E");
   Cq loop = LoopQuery(&u_, e);
@@ -63,7 +65,8 @@ TEST_F(ChaseTest, BddifiedExample1EntailsLoop) {
                                    "E(x,y) -> E(y,z)\n"
                                    "E(x,x1), E(y,y1) -> E(x,y1)\n");
   Instance db = MustParseInstance(&u_, "E(a,b).");
-  ObliviousChase chase(db, rules, {.exec = {.max_steps = 3, .max_atoms = 50000}});
+  ObliviousChase chase(db, rules,
+                       {.exec = {.max_steps = 3, .max_atoms = 50000}});
   chase.Run();
   PredicateId e = u_.FindPredicate("E");
   EXPECT_TRUE(Entails(chase.Result(), LoopQuery(&u_, e)));
@@ -134,10 +137,12 @@ TEST_F(ChaseTest, RestrictedChaseTerminatesWhenObliviousDoesNot) {
   RuleSet rules = MustParseRuleSet(&u_, "E(x,y) -> E(y,z)");
   Instance db = MustParseInstance(&u_, "E(a,b). E(b,a).");
   ObliviousChase restricted(
-      db, rules, {.variant = ChaseVariant::kRestricted, .exec = {.max_steps = 50}});
+      db, rules,
+      {.variant = ChaseVariant::kRestricted, .exec = {.max_steps = 50}});
   restricted.Run();
   EXPECT_TRUE(restricted.Saturated());
-  ObliviousChase oblivious(db, rules, {.exec = {.max_steps = 50, .max_atoms = 500}});
+  ObliviousChase oblivious(db, rules,
+                           {.exec = {.max_steps = 50, .max_atoms = 500}});
   oblivious.Run();
   EXPECT_FALSE(oblivious.Saturated());
 }
@@ -160,7 +165,8 @@ TEST_F(ChaseTest, ChaseThenDatalogMatchesLemma33Shape) {
 TEST_F(ChaseTest, MaxAtomBoundStopsRun) {
   RuleSet rules = MustParseRuleSet(&u_, "E(x,y) -> E(y,z), E(x,z)");
   Instance db = MustParseInstance(&u_, "E(a,b).");
-  ObliviousChase chase(db, rules, {.exec = {.max_steps = 100, .max_atoms = 50}});
+  ObliviousChase chase(db, rules,
+                       {.exec = {.max_steps = 100, .max_atoms = 50}});
   chase.Run();
   EXPECT_TRUE(chase.HitBounds());
   EXPECT_LE(chase.Result().size(), 60u);  // bound plus one step's slack
@@ -361,6 +367,46 @@ TEST_F(ChaseTest, AddBaseFactsResumesAfterSaturation) {
     EXPECT_TRUE(chase.Result().Contains(atom));
   }
   EXPECT_EQ(chase.CanonicalAtoms(), scratch.CanonicalAtoms());
+}
+
+TEST_F(ChaseTest, FiredByRuleSumsToTriggersFiredAndMetric) {
+  // The per-rule fired counts, their total and the registry's
+  // chase.triggers_fired are one count, also across an AddBaseFacts
+  // resume.
+  RuleSet rules = MustParseRuleSet(&u_,
+                                   "E(x,y) -> F(y,z)\n"
+                                   "E(x,y), E(y,z) -> E(x,z)\n"
+                                   "F(x,y) -> G(x)\n");
+  Instance db = MustParseInstance(&u_, "E(a,b). E(b,c). E(c,d).");
+  obs::MetricsRegistry registry;
+  ObliviousChase chase(db, rules,
+                       {.exec = {.max_steps = 32, .metrics = &registry}});
+  const auto expect_consistent = [&] {
+    const std::vector<std::size_t>& fired = chase.FiredByRule();
+    ASSERT_EQ(fired.size(), rules.size());
+    std::size_t total = 0;
+    for (std::size_t n : fired) {
+      EXPECT_GT(n, 0u);
+      total += n;
+    }
+    EXPECT_EQ(total, chase.TriggersFired());
+    EXPECT_EQ(registry.GetCounter("chase.triggers_fired")->Value(), total);
+  };
+  chase.Run();
+  ASSERT_TRUE(chase.Saturated());
+  expect_consistent();
+  // Closure of the path a..d: 6 E atoms, hence 6 F triggers and 6 G ones.
+  EXPECT_EQ(chase.FiredByRule()[0], 6u);
+  EXPECT_EQ(chase.FiredByRule()[2], 6u);
+
+  PredicateId e = u_.FindPredicate("E");
+  ASSERT_EQ(chase.AddBaseFacts({Atom(e, {u_.InternConstant("d"),
+                                         u_.InternConstant("e")})}),
+            1u);
+  chase.Run();
+  ASSERT_TRUE(chase.Saturated());
+  expect_consistent();
+  EXPECT_EQ(chase.FiredByRule()[0], 10u);  // the path a..e has 10 edges
 }
 
 TEST_F(ChaseTest, AddBaseFactsSkipsKnownAtoms) {

@@ -8,10 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <cstdio>
 #include <memory>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,46 +19,8 @@
 #include "logic/parser.h"
 #include "obs/obs.h"
 #include "obs/progress.h"
-
-// Global allocation counter backing the disabled-mode zero-allocation
-// test. Counting relaxed-atomically keeps the override cheap enough not
-// to distort the rest of the suite.
-static std::atomic<std::size_t> g_allocations{0};
-
-// The full overload family is replaced: leaving the nothrow forms to
-// the runtime (or to a sanitizer's interceptors) while taking over the
-// throwing ones makes ASan see an operator-new allocation released via
-// our free()-backed delete and abort on the alloc-dealloc mismatch.
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
+// Backs the disabled-mode zero-allocation test (g_allocations).
+#include "tests/counting_new.h"
 
 namespace bddfc {
 namespace {
@@ -197,7 +157,7 @@ TEST_F(ObsTest, ChromeJsonSchema) {
     obs::ObsSpan span("chase", "chase.step");
     span.Arg("step", 1);
   }
-  obs::Instant("sched", "sched.stratum_active", "stratum", 0);
+  obs::Instant("chase", "chase.saturated", "step", 1);
   obs::CounterEvent("chase", "chase.atoms_total", 42);
   session.Stop();
   const std::string json = session.ExportChromeJson();

@@ -23,7 +23,6 @@
 //                      its incremental chase is bit-identical to the
 //                      from-scratch chase, so per-epoch answers are
 //                      reproducible exactly)
-//   --schedule=flat|stratified  rule scheduling (default flat)
 //   --threads=N        dispatcher worker threads executing requests
 //                      (default 0 = all hardware threads; 1 = inline)
 //   --workers=N        chase execution threads of the writer (default 1)
@@ -66,7 +65,6 @@ int Usage(const char* argv0) {
       stderr,
       "usage: %s [--port=N | --stdio]\n"
       "          [--variant=oblivious|semi|restricted]\n"
-      "          [--schedule=flat|stratified]\n"
       "          [--threads=N] [--workers=N]\n"
       "          [--max-steps=N] [--max-atoms=N]\n"
       "          [--trace=FILE] [--quiet] RULES_FILE INSTANCE_FILE\n",
@@ -103,26 +101,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--stdio") {
       stdio = true;
     } else if (FlagValue(arg, "--variant", &value)) {
-      if (value == "oblivious") {
-        options.reasoner.chase.variant = ChaseVariant::kOblivious;
-      } else if (value == "semi" || value == "semi-oblivious" ||
-                 value == "skolem") {
-        options.reasoner.chase.variant = ChaseVariant::kSemiOblivious;
-      } else if (value == "restricted" || value == "standard") {
-        options.reasoner.chase.variant = ChaseVariant::kRestricted;
-      } else {
+      if (!bddfc::cli::ParseVariant(value, &options.reasoner.chase.variant)) {
         std::fprintf(stderr, "bddfc_server: unknown variant \"%.*s\"\n",
-                     static_cast<int>(value.size()), value.data());
-        return Usage(argv[0]);
-      }
-    } else if (FlagValue(arg, "--schedule", &value)) {
-      if (value == "flat") {
-        options.reasoner.chase.exec.schedule = bddfc::ChaseSchedule::kFlat;
-      } else if (value == "stratified") {
-        options.reasoner.chase.exec.schedule =
-            bddfc::ChaseSchedule::kStratified;
-      } else {
-        std::fprintf(stderr, "bddfc_server: unknown schedule \"%.*s\"\n",
                      static_cast<int>(value.size()), value.data());
         return Usage(argv[0]);
       }

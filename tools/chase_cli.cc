@@ -9,13 +9,6 @@
 //   --threads=N        execution threads; 1 = serial, 0 = all hardware
 //                      threads (default 1). Answers and the chase are
 //                      identical at any thread count.
-//   --schedule=flat|stratified   rule scheduling discipline (default
-//                      flat). flat searches every rule each step and is
-//                      bit-identical to the historical chase; stratified
-//                      runs the positive-reliance strata in topological
-//                      order with empty-delta rule skipping, producing
-//                      the same atom set up to null renaming (step
-//                      boundaries and null numbering may differ).
 //   --max-steps=N      chase step budget (default 16)
 //   --max-atoms=N      atom budget (default 200000)
 //   --query=FILE       answer the conjunctive queries in FILE (one
@@ -28,9 +21,9 @@
 //                      "metrics" object (the obs registry snapshot), and
 //                      per-query answers (suppresses the human output)
 //   --trace=FILE       record a Chrome/Perfetto trace of the run (spans
-//                      from the chase, scheduler, storage, and reasoner
-//                      layers) and write trace-event JSON to FILE; open
-//                      it in https://ui.perfetto.dev or chrome://tracing
+//                      from the chase, storage, and reasoner layers) and
+//                      write trace-event JSON to FILE; open it in
+//                      https://ui.perfetto.dev or chrome://tracing
 //   --progress[=MS]    print a heartbeat line to stderr every MS ms
 //                      (default 1000) with step/atom/trigger/RSS
 //                      progress; doubles as a divergence watchdog that
@@ -65,10 +58,9 @@
 
 #include "analysis/lint.h"
 #include "analysis/program_analysis.h"
-#include "analysis/reliance.h"
+#include "analysis/termination.h"
 #include "api/reasoner.h"
 #include "base/json.h"
-#include "chase/rule_scheduler.h"
 #include "logic/parser.h"
 #include "logic/printer.h"
 #include "logic/universe.h"
@@ -95,7 +87,7 @@ int Usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--variant=oblivious|semi|restricted]\n"
-      "          [--threads=N] [--schedule=flat|stratified]\n"
+      "          [--threads=N]\n"
       "          [--max-steps=N] [--max-atoms=N]\n"
       "          [--query=FILE] [--strategy=materialize|rewrite|auto]\n"
       "          [--trace=FILE] [--progress[=MS]] [--analyze]\n"
@@ -158,25 +150,8 @@ int main(int argc, char** argv) {
     std::string_view arg = argv[i];
     std::string_view value;
     if (FlagValue(arg, "--variant", &value)) {
-      if (value == "oblivious") {
-        chase_options.variant = ChaseVariant::kOblivious;
-      } else if (value == "semi" || value == "semi-oblivious" ||
-                 value == "skolem") {
-        chase_options.variant = ChaseVariant::kSemiOblivious;
-      } else if (value == "restricted" || value == "standard") {
-        chase_options.variant = ChaseVariant::kRestricted;
-      } else {
+      if (!bddfc::cli::ParseVariant(value, &chase_options.variant)) {
         std::fprintf(stderr, "chase_cli: unknown variant \"%.*s\"\n",
-                     static_cast<int>(value.size()), value.data());
-        return Usage(argv[0]);
-      }
-    } else if (FlagValue(arg, "--schedule", &value)) {
-      if (value == "flat") {
-        chase_options.exec.schedule = bddfc::ChaseSchedule::kFlat;
-      } else if (value == "stratified") {
-        chase_options.exec.schedule = bddfc::ChaseSchedule::kStratified;
-      } else {
-        std::fprintf(stderr, "chase_cli: unknown schedule \"%.*s\"\n",
                      static_cast<int>(value.size()), value.data());
         return Usage(argv[0]);
       }
@@ -392,8 +367,6 @@ int main(int argc, char** argv) {
   // options; report those, not the raw flag values.
   const bddfc::ExecutionConfig& resolved_exec = reasoner.options().chase.exec;
   const bddfc::ObliviousChase* chase = reasoner.materialization();
-  const bddfc::RuleSchedulerStats* sched_stats =
-      chase != nullptr ? &chase->scheduler().stats() : nullptr;
 
   if (json) {
     std::printf("{\n");
@@ -407,8 +380,6 @@ int main(int argc, char** argv) {
     }
     std::printf("  \"variant\": \"%s\",\n",
                 VariantName(chase_options.variant));
-    std::printf("  \"schedule\": \"%s\",\n",
-                bddfc::ToString(resolved_exec.schedule));
     std::printf("  \"strategy\": \"%s\",\n", bddfc::ToString(strategy));
     std::printf("  \"threads\": %zu,\n", reasoner.num_threads());
     std::printf("  \"max_steps\": %zu,\n", chase_options.exec.max_steps);
@@ -433,8 +404,6 @@ int main(int argc, char** argv) {
                 stats.chase_hit_bounds ? "true" : "false");
     std::printf("  \"atoms\": %zu,\n", stats.chase_atoms);
     std::printf("  \"triggers_fired\": %zu,\n", stats.triggers_fired);
-    std::printf("  \"num_strata\": %zu,\n", stats.num_strata);
-    std::printf("  \"rules_skipped\": %zu,\n", stats.rules_skipped);
     std::printf("  \"certificate\": \"%s\",\n",
                 bddfc::ToString(reasoner.certificate()));
     {
@@ -448,24 +417,23 @@ int main(int argc, char** argv) {
                       .c_str());
     }
     std::printf("  \"rules_detail\": [");
-    if (sched_stats != nullptr) {
+    if (chase != nullptr) {
       for (std::size_t r = 0; r < reasoner.rules().size(); ++r) {
         const std::string& label = reasoner.rules()[r].label();
         std::printf("%s\n    {\"rule\": %zu, \"label\": \"%s\", "
-                    "\"fired\": %zu, \"skipped\": %zu}",
+                    "\"fired\": %zu}",
                     r == 0 ? "" : ",", r, JsonEscape(label).c_str(),
-                    sched_stats->fired[r], sched_stats->skipped[r]);
+                    chase->FiredByRule()[r]);
       }
     }
     std::printf("%s],\n",
-                sched_stats != nullptr && !reasoner.rules().empty() ? "\n  "
-                                                                    : "");
+                chase != nullptr && !reasoner.rules().empty() ? "\n  " : "");
     std::printf("  \"nulls\": %zu,\n", universe.num_nulls());
     std::printf("  \"wall_ms\": %.3f,\n", total_ms);
     std::printf("  \"interrupted\": %s,\n", interrupted ? "true" : "false");
     // The flat obs registry snapshot: every layer's counters/gauges/
-    // histograms under dotted names (chase.*, sched.*, storage.*,
-    // reasoner.*), the machine-readable twin of --trace.
+    // histograms under dotted names (chase.*, storage.*, reasoner.*), the
+    // machine-readable twin of --trace.
     std::printf("  \"metrics\": %s,\n",
                 bddfc::obs::Metrics().ToJson().c_str());
     std::printf("  \"queries\": [");
@@ -497,10 +465,8 @@ int main(int argc, char** argv) {
               reasoner.rules().size());
   std::printf("instance: %s (%zu atoms incl. the implicit top fact)\n",
               instance_path.c_str(), reasoner.database().size());
-  std::printf("variant:  %s, schedule: %s, "
-              "threads: %zu, max steps: %zu, max atoms: %zu\n",
-              VariantName(chase_options.variant),
-              bddfc::ToString(resolved_exec.schedule), reasoner.num_threads(),
+  std::printf("variant:  %s, threads: %zu, max steps: %zu, max atoms: %zu\n",
+              VariantName(chase_options.variant), reasoner.num_threads(),
               resolved_exec.max_steps, resolved_exec.max_atoms);
 
   if (stats.materialized) {
@@ -532,9 +498,7 @@ int main(int argc, char** argv) {
                 "materialize: %.2f ms\n",
                 stats.chase_atoms, stats.triggers_fired,
                 universe.num_nulls(), stats.materialize_ms);
-    std::printf("strata: %zu, rule searches skipped: %zu, "
-                "termination certificate: %s\n",
-                stats.num_strata, stats.rules_skipped,
+    std::printf("termination certificate: %s\n",
                 bddfc::ToString(reasoner.certificate()));
   } else if (!queries.empty()) {
     std::printf("\nno materialization needed: every query answered by "

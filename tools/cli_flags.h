@@ -1,7 +1,7 @@
 // Command-line helpers shared by the tools: whole-file reads, "--name=VALUE"
-// flag matching, and checked parsing of numeric flag values. Hostile values
-// (junk, signs, numbers past std::size_t) get a diagnostic on stderr, never
-// an exception or a silently clamped value.
+// flag matching, checked parsing of numeric flag values, and chase variant
+// names. Hostile values (junk, signs, numbers past std::size_t) get a
+// diagnostic on stderr, never an exception or a silently clamped value.
 
 #ifndef BDDFC_TOOLS_CLI_FLAGS_H_
 #define BDDFC_TOOLS_CLI_FLAGS_H_
@@ -14,6 +14,8 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+
+#include "chase/chase.h"
 
 namespace bddfc::cli {
 
@@ -58,6 +60,23 @@ inline bool ParseCount(std::string_view value, const char* tool,
     return false;
   }
   *out = parsed;
+  return true;
+}
+
+/// Maps a chase variant name to its ChaseVariant: "oblivious", "semi"
+/// (also "semi-oblivious" or "skolem") or "restricted" (also "standard").
+/// Returns false on any other name, leaving `*out` untouched; the caller
+/// reports the error in its own words.
+inline bool ParseVariant(std::string_view name, ChaseVariant* out) {
+  if (name == "oblivious") {
+    *out = ChaseVariant::kOblivious;
+  } else if (name == "semi" || name == "semi-oblivious" || name == "skolem") {
+    *out = ChaseVariant::kSemiOblivious;
+  } else if (name == "restricted" || name == "standard") {
+    *out = ChaseVariant::kRestricted;
+  } else {
+    return false;
+  }
   return true;
 }
 

@@ -45,19 +45,6 @@ struct Flags {
   bool ok = true;
 };
 
-bool ParseVariant(const std::string& name, ChaseVariant* out) {
-  if (name == "oblivious") {
-    *out = ChaseVariant::kOblivious;
-  } else if (name == "semi") {
-    *out = ChaseVariant::kSemiOblivious;
-  } else if (name == "restricted") {
-    *out = ChaseVariant::kRestricted;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 Flags ParseFlags(int argc, char** argv, int first) {
   Flags flags;
   for (int i = first; i < argc; ++i) {
@@ -81,7 +68,7 @@ Flags ParseFlags(int argc, char** argv, int first) {
       if (const char* v = next()) flags.e = v;
     } else if (arg == "--variant") {
       const char* v = next();
-      if (v != nullptr && !ParseVariant(v, &flags.variant)) {
+      if (v != nullptr && !cli::ParseVariant(v, &flags.variant)) {
         std::fprintf(stderr,
                      "unknown --variant \"%s\": expected oblivious, semi or "
                      "restricted\n", v);
