@@ -187,7 +187,8 @@ JsonValue ClassVerdict::ToJson() const {
   JsonValue v = JsonValue::Object();
   v.Set("holds", JsonValue::Bool(holds));
   if (!holds && witness_rule != kNoRule) {
-    v.Set("witness_rule", JsonValue::Int(static_cast<std::int64_t>(witness_rule)));
+    v.Set("witness_rule",
+          JsonValue::Int(static_cast<std::int64_t>(witness_rule)));
   }
   v.Set("detail", JsonValue::Str(detail));
   return v;

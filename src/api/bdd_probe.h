@@ -8,8 +8,8 @@
 // at which q becomes entailed (∞ if never within bounds) and reports the
 // maximum — a lower bound for bdd(q,R) that is exact on families rich
 // enough to exercise the deepest derivations. Proposition 4 predicts the
-// probe stays bounded exactly when the rewriting saturates; the EXP-1
-// bench and the tests cross-check the two.
+// probe stays bounded exactly when the rewriting saturates;
+// RewritingTest.Proposition4* cross-checks the two.
 
 #ifndef BDDFC_API_BDD_PROBE_H_
 #define BDDFC_API_BDD_PROBE_H_

@@ -1,6 +1,5 @@
-// Plain-text aligned table printer used by the experiment harnesses in
-// bench/. Each EXP-* binary prints one or more tables in the format recorded
-// in EXPERIMENTS.md.
+// Plain-text aligned table printer for command-line reports: nocliques_cli's
+// Property (p) curve and the bench/ experiment tables.
 
 #ifndef BDDFC_BASE_TABLE_PRINTER_H_
 #define BDDFC_BASE_TABLE_PRINTER_H_

@@ -14,6 +14,18 @@
 
 namespace bddfc {
 
+const char* ToString(ChaseVariant variant) {
+  switch (variant) {
+    case ChaseVariant::kOblivious:
+      return "oblivious";
+    case ChaseVariant::kSemiOblivious:
+      return "semi-oblivious";
+    case ChaseVariant::kRestricted:
+      return "restricted";
+  }
+  return "?";
+}
+
 std::size_t ObliviousChase::TriggerKeyHash::operator()(
     const TriggerKey& k) const {
   std::size_t seed = std::hash<std::size_t>{}(k.first);

@@ -49,13 +49,17 @@ enum class ChaseVariant {
   /// The semi-oblivious (skolem) chase: triggers agreeing on the rule and
   /// the frontier image fire at most once — body variables outside the
   /// frontier cannot multiply nulls. Produces a hom-equivalent but often
-  /// much smaller result; the ablation benches quantify the gap.
+  /// much smaller result, as
+  /// ChaseTest.SemiObliviousCollapsesNonFrontierVariables shows.
   kSemiOblivious,
   /// The restricted (standard) chase: a trigger fires only if its output is
   /// not already satisfied by an extension of the trigger homomorphism.
   /// Used when a finite universal model is wanted for saturation checks.
   kRestricted,
 };
+
+/// Variant name ("oblivious" / "semi-oblivious" / "restricted").
+const char* ToString(ChaseVariant variant);
 
 /// The execution knobs of a chase (or a Reasoner session): everything that
 /// steers *how* the work runs, as opposed to *what* is computed (rules,

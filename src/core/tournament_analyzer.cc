@@ -109,7 +109,7 @@ AnalyzerResult TournamentAnalyzer::Run() {
 
   const Instance& chased = saturation.Result();
 
-  // --- Stage 5: tournament search. --------------------------------------------
+  // --- Stage 5: tournament search. -------------------------------------------
   InstanceGraph eg = GraphOfPredicate(chased, e_);
   result.loop_in_chase = eg.graph.HasLoop();
   TournamentSearch tsearch(&eg.graph, options_.tournament_search);
@@ -129,7 +129,7 @@ AnalyzerResult TournamentAnalyzer::Run() {
     return result;
   }
 
-  // --- Stage 6: injective rewriting of E(x,y). --------------------------------
+  // --- Stage 6: injective rewriting of E(x,y). -------------------------------
   UcqRewriter rewriter(result.regal_rules, universe_, options_.rewriter);
   Cq edge_query = EdgeQuery(universe_, e_);
   RewriteResult classical = rewriter.Rewrite(edge_query);
@@ -143,11 +143,12 @@ AnalyzerResult TournamentAnalyzer::Run() {
                  std::to_string(q_inj_stats.disconnected) + " disc/" +
                  std::to_string(q_inj_stats.single_maximal) + " single/" +
                  std::to_string(q_inj_stats.two_maximal) + " two-max)" +
-                 (classical.saturated ? "" : " (rewriting did not saturate)"))) {
+                 (classical.saturated ? ""
+                                      : " (rewriting did not saturate)"))) {
     return result;
   }
 
-  // --- Stage 7: valley witnesses for every saturation edge. -------------------
+  // --- Stage 7: valley witnesses for every saturation edge. ------------------
   // For each E-edge, the set of valley disjuncts of Q♦ that witness it in
   // Ch(R∃) (Definition 36 / Lemma 40). These sets are the Ramsey colors.
   auto has_edge = [&](Term s, Term t) {
@@ -190,7 +191,7 @@ AnalyzerResult TournamentAnalyzer::Run() {
     return result;
   }
 
-  // --- Stage 8: single-valley tournament (Proposition 41 / Theorem 7). --------
+  // --- Stage 8: single-valley tournament (Proposition 41 / Theorem 7). -------
   // Ramsey guarantees that a large enough tournament contains a
   // subtournament all of whose edges share one valley color; the bound
   // R(4,…,4) is astronomically beyond any bounded chase, so the executable

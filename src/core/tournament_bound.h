@@ -20,7 +20,7 @@ struct TournamentBoundResult {
   /// The classical rewriting of E(x,y) saturated (required for the bound
   /// to be meaningful).
   bool rewriting_saturated = false;
-  /// |rew(E)| — disjuncts of the minimized classical rewriting.
+  /// |rew(E)| — disjuncts of the pruned classical rewriting.
   std::size_t rewriting_size = 0;
   /// |Q♦| — disjuncts of the injective rewriting (the number of Ramsey
   /// colors).

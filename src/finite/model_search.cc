@@ -108,7 +108,9 @@ ModelSearchResult FindFiniteModelAvoiding(const Instance& db,
 
     Instance candidate(universe);
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (cells[c].forced) candidate.AddAtom(Atom(cells[c].pred, cells[c].args));
+      if (cells[c].forced) {
+        candidate.AddAtom(Atom(cells[c].pred, cells[c].args));
+      }
     }
     for (std::size_t f = 0; f < free_cells.size(); ++f) {
       if (mask & (std::uint64_t{1} << f)) {

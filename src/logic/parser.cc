@@ -391,8 +391,8 @@ Rule MustParseRule(Universe* universe, std::string_view text) {
   ParseError error;
   auto rule = ParseRule(universe, text, &error);
   if (!rule) {
-    std::fprintf(stderr, "ParseRule failed (line %d:%d): %s\n", error.line, error.column,
-                 error.message.c_str());
+    std::fprintf(stderr, "ParseRule failed (line %d:%d): %s\n", error.line,
+                 error.column, error.message.c_str());
   }
   BDDFC_CHECK(rule.has_value());
   return *rule;
@@ -402,8 +402,8 @@ RuleSet MustParseRuleSet(Universe* universe, std::string_view text) {
   ParseError error;
   auto rules = ParseRuleSet(universe, text, &error);
   if (!rules) {
-    std::fprintf(stderr, "ParseRuleSet failed (line %d:%d): %s\n", error.line, error.column,
-                 error.message.c_str());
+    std::fprintf(stderr, "ParseRuleSet failed (line %d:%d): %s\n", error.line,
+                 error.column, error.message.c_str());
   }
   BDDFC_CHECK(rules.has_value());
   return *rules;
@@ -413,8 +413,8 @@ Instance MustParseInstance(Universe* universe, std::string_view text) {
   ParseError error;
   auto instance = ParseInstance(universe, text, &error);
   if (!instance) {
-    std::fprintf(stderr, "ParseInstance failed (line %d:%d): %s\n", error.line, error.column,
-                 error.message.c_str());
+    std::fprintf(stderr, "ParseInstance failed (line %d:%d): %s\n", error.line,
+                 error.column, error.message.c_str());
   }
   BDDFC_CHECK(instance.has_value());
   return *instance;
@@ -424,8 +424,8 @@ Cq MustParseCq(Universe* universe, std::string_view text) {
   ParseError error;
   auto cq = ParseCq(universe, text, &error);
   if (!cq) {
-    std::fprintf(stderr, "ParseCq failed (line %d:%d): %s\n", error.line, error.column,
-                 error.message.c_str());
+    std::fprintf(stderr, "ParseCq failed (line %d:%d): %s\n", error.line,
+                 error.column, error.message.c_str());
   }
   BDDFC_CHECK(cq.has_value());
   return *cq;

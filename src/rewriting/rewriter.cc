@@ -32,32 +32,10 @@ UcqRewriter::UcqRewriter(RuleSet rules, Universe* universe,
 
 RewriteResult UcqRewriter::Rewrite(const Ucq& q) const {
   RewriteResult result;
-  // With minimization off, deduplicate syntactically only (for the
-  // ablation benches; isomorphic renamings still count as distinct, which
-  // is exactly the explosion the ablation is meant to expose — up to the
-  // fact that equal queries produced from one parent share variable names).
-  auto add = [&](const Cq& cq) {
-    if (options_.minimize) return AddMinimized(&result.ucq, cq);
-    for (const Cq& existing : result.ucq.disjuncts()) {
-      if (existing == cq) return false;
-      // Cheap isomorphism filter: identical up to the canonical renaming
-      // induced by first-occurrence order.
-      if (Subsumes(existing, cq) && Subsumes(cq, existing) &&
-          existing.size() == cq.size()) {
-        return false;
-      }
-    }
-    result.ucq.Add(cq);
-    return true;
-  };
-  auto normalize = [&](const Cq& cq) {
-    return options_.core_queries ? Core(cq, universe_) : cq;
-  };
-
   std::vector<Cq> frontier;
   for (const Cq& disjunct : q.disjuncts()) {
-    Cq normalized = normalize(disjunct);
-    if (add(normalized)) frontier.push_back(normalized);
+    Cq cored = Core(disjunct, universe_);
+    if (AddMinimized(&result.ucq, cored)) frontier.push_back(std::move(cored));
   }
 
   for (std::size_t depth = 1; depth <= options_.max_depth; ++depth) {
@@ -71,9 +49,9 @@ RewriteResult UcqRewriter::Rewrite(const Ucq& q) const {
           result.hit_bounds = true;
           continue;
         }
-        Cq normalized = normalize(pr.result);
-        if (add(normalized)) {
-          next.push_back(std::move(normalized));
+        Cq cored = Core(pr.result, universe_);
+        if (AddMinimized(&result.ucq, cored)) {
+          next.push_back(std::move(cored));
         }
         if (result.ucq.size() > options_.max_disjuncts) {
           result.hit_bounds = true;

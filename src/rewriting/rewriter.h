@@ -27,22 +27,15 @@ namespace bddfc {
 struct RewriterOptions {
   /// Maximum rewriting depth (generations of the operator).
   std::size_t max_depth = 12;
-  /// Abort when the minimized UCQ exceeds this many disjuncts.
+  /// Abort when the pruned UCQ exceeds this many disjuncts.
   std::size_t max_disjuncts = 4096;
   /// Skip queries growing beyond this many atoms (guards blowup).
   std::size_t max_atoms_per_query = 24;
-  /// Core every generated query (ablation toggle; keep on — cores keep
-  /// the disjunct set canonical and small).
-  bool core_queries = true;
-  /// Prune by homomorphic subsumption (ablation toggle; with this off,
-  /// only syntactic duplicates are dropped and the set usually explodes —
-  /// the ablation bench quantifies by how much).
-  bool minimize = true;
 };
 
 /// Outcome of a rewriting run.
 struct RewriteResult {
-  /// The minimized UCQ rewriting computed so far (complete iff saturated).
+  /// The pruned UCQ rewriting computed so far (complete iff saturated).
   Ucq ucq;
   /// True when the operator reached a fixpoint within the bounds.
   bool saturated = false;
@@ -63,7 +56,7 @@ class UcqRewriter {
   RewriteResult Rewrite(const Cq& q) const;
 
   /// Rewriting of a UCQ (Lemma 5-style composition: union of the disjunct
-  /// rewritings, minimized together).
+  /// rewritings, pruned together).
   RewriteResult Rewrite(const Ucq& q) const;
 
   /// rewinj(q, R): the injective rewriting of Definition 2 (rephrased),

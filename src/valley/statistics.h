@@ -1,6 +1,6 @@
 // Shape statistics over UCQ disjuncts: how many are valley queries, and
-// of which Proposition 43 case. Feeds the EXP-9 reporting and the
-// tournament analyzer's diagnostics.
+// of which Proposition 43 case. Feeds the tournament analyzer's
+// diagnostics.
 
 #ifndef BDDFC_VALLEY_STATISTICS_H_
 #define BDDFC_VALLEY_STATISTICS_H_

@@ -96,8 +96,8 @@ TEST_F(ReasonerTest, CertainAnswersExcludeNulls) {
   // all-constant pair (turing, turing) is a certain answer.
   auto answers = reasoner.Answer(MustParseCq(&u_, "?(p,q) :- Colleague(p,q)"));
   ASSERT_EQ(answers.size(), 1u);
-  EXPECT_EQ(answers[0],
-            AnswerTuple({u_.FindConstant("turing"), u_.FindConstant("turing")}));
+  EXPECT_EQ(answers[0], AnswerTuple({u_.FindConstant("turing"),
+                                     u_.FindConstant("turing")}));
 
   // The materialization does contain null colleague pairs.
   const Instance& chase = reasoner.Materialize();

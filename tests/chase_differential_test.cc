@@ -113,18 +113,6 @@ constexpr ChaseVariant kVariants[] = {ChaseVariant::kOblivious,
 // host and splits a plan into up to 16 chunks.
 const std::vector<std::size_t> kThreadCounts = {1, 2, 4, 8};
 
-const char* VariantName(ChaseVariant v) {
-  switch (v) {
-    case ChaseVariant::kOblivious:
-      return "oblivious";
-    case ChaseVariant::kSemiOblivious:
-      return "semi-oblivious";
-    case ChaseVariant::kRestricted:
-      return "restricted";
-  }
-  return "?";
-}
-
 // The matrix: per variant, the naive oracle runs once; the segment engine
 // runs at every thread count and must match it bit for bit. Returns
 // whether every oracle run saturated.
@@ -141,7 +129,7 @@ bool ExpectMatchesOracle(
     all_saturated = all_saturated && oracle.chase->Saturated();
     options.naive_enumeration = false;
     for (std::size_t threads : thread_counts) {
-      SCOPED_TRACE(std::string(VariantName(variant)) + " threads " +
+      SCOPED_TRACE(std::string(ToString(variant)) + " threads " +
                    std::to_string(threads));
       options.exec.num_threads = threads;
       ChaseRun run;

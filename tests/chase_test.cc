@@ -7,6 +7,7 @@
 #include "homomorphism/homomorphism.h"
 #include "logic/parser.h"
 #include "obs/obs.h"
+#include "tools/cli_flags.h"
 
 namespace bddfc {
 namespace {
@@ -331,6 +332,23 @@ TEST_F(ChaseTest, SemiObliviousStillFiresDistinctFrontiers) {
   semi.Run();
   PredicateId f = u_.FindPredicate("F");
   EXPECT_EQ(semi.Result().AtomsWith(f).size(), 2u);
+}
+
+TEST_F(ChaseTest, VariantNamesRoundTripThroughTheFlagParser) {
+  // chase_cli prints these names (text and --json "variant"), and its
+  // --variant flag reads each one back.
+  const std::pair<ChaseVariant, const char*> names[] = {
+      {ChaseVariant::kOblivious, "oblivious"},
+      {ChaseVariant::kSemiOblivious, "semi-oblivious"},
+      {ChaseVariant::kRestricted, "restricted"}};
+  for (const auto& [variant, name] : names) {
+    EXPECT_STREQ(ToString(variant), name);
+    ChaseVariant parsed = variant == ChaseVariant::kOblivious
+                              ? ChaseVariant::kRestricted
+                              : ChaseVariant::kOblivious;
+    EXPECT_TRUE(cli::ParseVariant(ToString(variant), &parsed)) << name;
+    EXPECT_EQ(parsed, variant) << name;
+  }
 }
 
 TEST_F(ChaseTest, AddBaseFactsResumesAfterSaturation) {

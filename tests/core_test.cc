@@ -18,24 +18,37 @@ class CoreTest : public ::testing::Test {
   Universe u_;
 };
 
-TEST_F(CoreTest, PropertyPOnBddifiedExample1) {
-  // The bdd variant of Example 1: tournaments grow with the chase and the
-  // loop appears almost immediately — Property (p) live.
-  RuleSet rules = MustParseRuleSet(&u_,
-                                   "E(x,y) -> E(y,z)\n"
-                                   "E(x,x1), E(y,y1) -> E(x,y1)\n");
-  Instance db = MustParseInstance(&u_, "E(a,b).");
-  PredicateId e = u_.FindPredicate("E");
-  PropertyPReport report = CheckPropertyP(
-      db, rules, e, {.chase = {.exec = {.max_steps = 3, .max_atoms = 60000}}});
-  EXPECT_TRUE(report.loop_entailed);
-  EXPECT_GE(report.max_tournament, 3);
-  EXPECT_LE(report.first_loop_step, 2);
-  EXPECT_FALSE(report.counterexample_signal);
-  // The curve is monotone in tournament size.
-  for (std::size_t i = 1; i < report.curve.size(); ++i) {
-    EXPECT_GE(report.curve[i].max_tournament,
-              report.curve[i - 1].max_tournament);
+TEST_F(CoreTest, PropertyPOnBddSetsWithGrowingTournaments) {
+  // The bdd variant of Example 1, alone and beside the two-step hop
+  // E(x,x1), E(x1,y1) -> E(x,y1): tournaments grow with the chase and the
+  // loop arrives with the first 3-tournament — Property (p) live.
+  for (const char* text :
+       {"E(x,y) -> E(y,z)\nE(x,x1), E(y,y1) -> E(x,y1)\n",
+        "E(x,y) -> E(y,z)\nE(x,x1), E(x1,y1) -> E(x,y1)\n"
+        "E(x,x1), E(y,y1) -> E(x,y1)\n"}) {
+    SCOPED_TRACE(text);
+    Universe u;
+    RuleSet rules = MustParseRuleSet(&u, text);
+    Instance db = MustParseInstance(&u, "E(a,b).");
+    PredicateId e = u.FindPredicate("E");
+    PropertyPReport report = CheckPropertyP(
+        db, rules, e,
+        {.chase = {.exec = {.max_steps = 3, .max_atoms = 60000}}});
+    EXPECT_TRUE(report.loop_entailed);
+    EXPECT_GE(report.max_tournament, 4);
+    EXPECT_LE(report.first_loop_step, 2);
+    EXPECT_FALSE(report.counterexample_signal);
+    // The curve is monotone in tournament size, and every step with a
+    // 3-tournament already has the loop.
+    for (std::size_t i = 0; i < report.curve.size(); ++i) {
+      const PropertyPStep& point = report.curve[i];
+      if (i > 0) {
+        EXPECT_GE(point.max_tournament, report.curve[i - 1].max_tournament);
+      }
+      if (point.max_tournament >= 3) {
+        EXPECT_TRUE(point.loop) << "step " << point.step;
+      }
+    }
   }
 }
 

@@ -21,7 +21,7 @@ class EdgeCaseTest : public ::testing::Test {
   Universe u_;
 };
 
-// --- Parser robustness --------------------------------------------------------
+// --- Parser robustness -------------------------------------------------------
 
 TEST_F(EdgeCaseTest, ParserRejectsEmptyRule) {
   ParseError error;
@@ -57,7 +57,7 @@ TEST_F(EdgeCaseTest, ParserErrorsCarryLineNumbers) {
   EXPECT_EQ(error.line, 2);
 }
 
-// --- Degenerate instances/queries ----------------------------------------------
+// --- Degenerate instances/queries --------------------------------------------
 
 TEST_F(EdgeCaseTest, EmptyInstanceEntailsOnlyTop) {
   Instance empty(&u_);
@@ -111,7 +111,7 @@ TEST_F(EdgeCaseTest, CoreOfAlreadyMinimalQueryIsIdentity) {
   EXPECT_EQ(core.atoms().size(), 3u);  // directed triangle is a core
 }
 
-// --- Chase bounds and degenerate rule sets -------------------------------------
+// --- Chase bounds and degenerate rule sets -----------------------------------
 
 TEST_F(EdgeCaseTest, ChaseWithNoApplicableRules) {
   RuleSet rules = MustParseRuleSet(&u_, "P(x) -> Q(x)");
@@ -156,7 +156,7 @@ TEST_F(EdgeCaseTest, RuleWithConstantInHead) {
   EXPECT_TRUE(Entails(result, probe));
 }
 
-// --- Rewriter bounds -----------------------------------------------------------
+// --- Rewriter bounds ---------------------------------------------------------
 
 TEST_F(EdgeCaseTest, RewriterDisjunctCapReportsBounds) {
   RuleSet rules = MustParseRuleSet(&u_,
@@ -189,7 +189,7 @@ TEST_F(EdgeCaseTest, RewritingOfUnreachablePredicate) {
   EXPECT_EQ(r.ucq.size(), 1u);  // nothing rewrites into Z
 }
 
-// --- Valley machinery failure paths ---------------------------------------------
+// --- Valley machinery failure paths ------------------------------------------
 
 TEST_F(EdgeCaseTest, PeakRemovalWithoutWitnessFails) {
   RuleSet rules = MustParseRuleSet(&u_, "true -> F(c0)\nF(x) -> G(x)\n");

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chase/chase.h"
 #include "finite/model_search.h"
 #include "graph/digraph.h"
 #include "logic/parser.h"
@@ -79,6 +80,29 @@ TEST_F(FiniteTest, BddifiedExample1AlsoHasNoLoopFreeFiniteModel) {
       FindLoopFreeFiniteModel(db, rules, e, &u_, {.domain_size = 3});
   EXPECT_FALSE(r.found);
   EXPECT_TRUE(r.exhaustive);
+}
+
+TEST_F(FiniteTest, SymmetricClosureAndInclusionDependencyAreFcConsistent) {
+  // fc on Loop_E: the chase entails the loop iff every finite model has
+  // one. For these two bdd sets the chase saturates loop-free, and a
+  // loop-free finite model exists over at most 3 elements.
+  for (const char* text : {"E(x,y) -> E(y,x)", "E(x,y) -> F(y,z)"}) {
+    SCOPED_TRACE(text);
+    Universe u;
+    RuleSet rules = MustParseRuleSet(&u, text);
+    Instance db = MustParseInstance(&u, "E(a,b).");
+    PredicateId e = u.FindPredicate("E");
+    ObliviousChase chase(db, rules, {.exec = {.max_steps = 4}});
+    chase.Run();
+    ASSERT_TRUE(chase.Saturated());
+    EXPECT_FALSE(GraphOfPredicate(chase.Result(), e).graph.HasLoop());
+    ModelSearchResult finite =
+        FindLoopFreeFiniteModel(db, rules, e, &u, {.domain_size = 3});
+    ASSERT_TRUE(finite.found);
+    ASSERT_TRUE(finite.model.has_value());
+    EXPECT_TRUE(IsFiniteModel(*finite.model, rules));
+    EXPECT_FALSE(GraphOfPredicate(*finite.model, e).graph.HasLoop());
+  }
 }
 
 TEST_F(FiniteTest, AvoidArbitraryQuery) {

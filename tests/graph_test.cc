@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "base/rng.h"
+#include "chase/chase.h"
 #include "graph/digraph.h"
 #include "graph/ramsey.h"
 #include "graph/tournament.h"
@@ -314,6 +315,43 @@ TEST(ChromaticTest, IsColorableBoundary) {
   triangle.AddEdge(2, 0);
   EXPECT_FALSE(ChromaticNumber::IsColorable(triangle, 2));
   EXPECT_TRUE(ChromaticNumber::IsColorable(triangle, 3));
+}
+
+TEST(ChromaticTest, LoopFreeBddChasePrefixesAreThreeColorable) {
+  // Conjecture 44's pattern (Section 6): for loop-free bdd rule sets the
+  // E-graph of a chase prefix keeps a small chromatic number.
+  struct Case {
+    const char* name;
+    const char* rules;
+    const char* db;
+  };
+  const Case cases[] = {
+      {"successor chain", "E(x,y) -> E(y,z)", "E(a,b)."},
+      {"binary tree", "E(x,y) -> E(y,l), E(y,r)", "E(a,b)."},
+      {"bipartite doubling", "P(x) -> E(x,y), Q(y)\nQ(x) -> E(x,y), P(y)",
+       "P(a)."},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Universe u;
+    RuleSet rules = MustParseRuleSet(&u, c.rules);
+    Instance chased = Chase(MustParseInstance(&u, c.db), rules,
+                            {.exec = {.max_steps = 5, .max_atoms = 4000}});
+    InstanceGraph eg = GraphOfPredicate(chased, u.FindPredicate("E"));
+    ASSERT_FALSE(eg.graph.HasLoop());
+    ASSERT_GE(eg.graph.num_edges(), 5u);
+    UndirectedGraph g = UndirectedGraph::FromDigraph(eg.graph);
+    EXPECT_LE(ChromaticNumber::Exact(g, 16), 3);
+  }
+}
+
+TEST(ErdosTest, TriangleFreeSampleNeedsFourColors) {
+  // Theorem 45 at small scale: excluding short cycles does not cap the
+  // chromatic number, so Conjecture 44 needs more than a clique argument.
+  Rng rng(7);
+  UndirectedGraph g = ErdosHighGirthGraph(40, 0.22, 4, &rng);
+  ASSERT_GE(g.Girth(), 4);
+  EXPECT_GE(ChromaticNumber::Exact(g, 16), 4);
 }
 
 TEST(ErdosTest, HighGirthConstructionRespectsGirth) {

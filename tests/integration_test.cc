@@ -164,13 +164,15 @@ TEST(FullChainTest, TernaryRuleSetBecomesRegal) {
   EXPECT_TRUE(surgery::IsPredicateUnique(rewritten.rules));
   std::vector<Instance> probes;
   probes.push_back(Instance(&u));
-  EXPECT_TRUE(surgery::IsQuick(rewritten.rules, probes,
-                               {.exec = {.max_steps = 3, .max_atoms = 100000}}));
+  EXPECT_TRUE(
+      surgery::IsQuick(rewritten.rules, probes,
+                       {.exec = {.max_steps = 3, .max_atoms = 100000}}));
 
   // The chase of the regal set, restricted to E, matches the original's.
   Instance top(&u);
-  Instance regal_chase = Chase(top, rewritten.rules,
-                               {.exec = {.max_steps = 12, .max_atoms = 100000}});
+  Instance regal_chase =
+      Chase(top, rewritten.rules,
+            {.exec = {.max_steps = 12, .max_atoms = 100000}});
   Instance original_chase =
       Chase(surgery::FlexibleCopy(db), rules, {.exec = {.max_steps = 3}});
   PredicateId e = u.FindPredicate("E");

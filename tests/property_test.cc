@@ -149,7 +149,8 @@ TEST_P(SeededTest, RewritingAgreesWithChase) {
     Cq q = generators::RandomBooleanCq(&u, rules, 2, 3, &rng);
     RewriteResult r = rewriter.Rewrite(q);
     if (!r.saturated) continue;  // not bdd for this query within bounds
-    ObliviousChase chase(db, rules, {.exec = {.max_steps = 8, .max_atoms = 20000}});
+    ObliviousChase chase(db, rules,
+                         {.exec = {.max_steps = 8, .max_atoms = 20000}});
     chase.Run();
     if (chase.HitBounds()) continue;
     // Saturated rewriting at depth d ⟺ witnessed within d rule
@@ -160,7 +161,7 @@ TEST_P(SeededTest, RewritingAgreesWithChase) {
   }
 }
 
-// --- Chase variants -----------------------------------------------------------
+// --- Chase variants ----------------------------------------------------------
 
 TEST_P(SeededTest, DatalogChaseVariantsProduceTheSameAtoms) {
   Rng rng(GetParam() * 17 + 1);
@@ -199,7 +200,8 @@ TEST_P(SeededTest, ChaseVariantsHomEquivalentOnExistentialRules) {
   RuleSet rules = generators::RandomBinaryRuleSet(&u, spec, &rng);
   Instance db = generators::RandomInstance(&u, rules, 3, 4, &rng);
 
-  ObliviousChase oblivious(db, rules, {.exec = {.max_steps = 4, .max_atoms = 20000}});
+  ObliviousChase oblivious(db, rules,
+                           {.exec = {.max_steps = 4, .max_atoms = 20000}});
   oblivious.Run();
   ObliviousChase semi(db, rules,
                       {.variant = ChaseVariant::kSemiOblivious,
@@ -267,7 +269,7 @@ TEST_P(SeededTest, ValleyDetectionMatchesDefinition) {
   }
 }
 
-// --- Multiset order vs paper-literal definition -------------------------------
+// --- Multiset order vs paper-literal definition ------------------------------
 
 // The recursive definition of Section 2.4, verbatim.
 bool PaperLexLess(Multiset<int> m, Multiset<int> n) {
@@ -296,7 +298,7 @@ TEST_P(SeededTest, LexLessMatchesPaperDefinition) {
   }
 }
 
-// --- Tournament search vs exhaustive enumeration -------------------------------
+// --- Tournament search vs exhaustive enumeration -----------------------------
 
 TEST_P(SeededTest, TournamentSearchMatchesBruteForce) {
   Rng rng(GetParam() * 101 + 29);
@@ -336,7 +338,7 @@ TEST_P(SeededTest, TournamentSearchMatchesBruteForce) {
   }
 }
 
-// --- Surgeries on random rule sets ---------------------------------------------
+// --- Surgeries on random rule sets -------------------------------------------
 
 TEST_P(SeededTest, StreamlineAlwaysYieldsDefinition21And22) {
   Rng rng(GetParam() * 211 + 17);
@@ -370,9 +372,11 @@ TEST_P(SeededTest, StreamlineChaseEquivalenceOnRandomInputs) {
   for (PredicateId p : SignatureOf(db)) signature.insert(p);
   RuleSet streamlined = surgery::Streamline(rules, &u);
 
-  ObliviousChase plain(db, rules, {.exec = {.max_steps = 2, .max_atoms = 20000}});
+  ObliviousChase plain(db, rules,
+                       {.exec = {.max_steps = 2, .max_atoms = 20000}});
   plain.Run();
-  ObliviousChase tri(db, streamlined, {.exec = {.max_steps = 6, .max_atoms = 60000}});
+  ObliviousChase tri(db, streamlined,
+                     {.exec = {.max_steps = 6, .max_atoms = 60000}});
   tri.Run();
   if (plain.HitBounds() || tri.HitBounds()) return;  // skip heavy draws
   Instance lhs = plain.Result().Restrict(signature);

@@ -112,7 +112,7 @@ TEST_F(ValleyTest, WitnessEnumeration) {
   EXPECT_EQ(valleys.size(), 2u);
 }
 
-// --- Peak removal -------------------------------------------------------------
+// --- Peak removal ------------------------------------------------------------
 
 // A regal-style pipeline fixture: the bdd-ified Example 1 with its instance
 // encoded, streamlined and body-rewritten.
@@ -209,7 +209,7 @@ TEST_F(PeakFixture, MaximalStartDescendsToValley) {
   EXPECT_GT(checked, 0);
 }
 
-// --- Functionality (Lemma 42) -------------------------------------------------
+// --- Functionality (Lemma 42) ------------------------------------------------
 
 TEST_F(ValleyTest, FunctionalityOnForwardExistentialChase) {
   // true -> A(r); A(x) -> S(x,y), A(y): S is the successor function.
@@ -243,7 +243,7 @@ TEST_F(ValleyTest, AllBelowFirstAnswerRequiresPath) {
   EXPECT_TRUE(AllBelowFirstAnswer(with_path));
 }
 
-// --- Proposition 43 ------------------------------------------------------------
+// --- Proposition 43 ----------------------------------------------------------
 
 TEST_F(ValleyTest, DisconnectedCaseDerivesLoop) {
   // Valley query q(x,y) = P(u,x) ∧ Q(v,y) — disconnected. A 4-tournament

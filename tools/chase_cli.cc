@@ -73,7 +73,6 @@ namespace {
 using bddfc::AnswerStrategy;
 using bddfc::AnswerTuple;
 using bddfc::ChaseOptions;
-using bddfc::ChaseVariant;
 using bddfc::JsonEscape;
 using bddfc::ReasonerOptions;
 using bddfc::cli::FlagValue;
@@ -94,18 +93,6 @@ int Usage(const char* argv0) {
       "          [--json] [--quiet] RULES_FILE INSTANCE_FILE\n",
       argv0);
   return 2;
-}
-
-const char* VariantName(ChaseVariant v) {
-  switch (v) {
-    case ChaseVariant::kOblivious:
-      return "oblivious";
-    case ChaseVariant::kSemiOblivious:
-      return "semi-oblivious";
-    case ChaseVariant::kRestricted:
-      return "restricted";
-  }
-  return "?";
 }
 
 double MsSince(std::chrono::steady_clock::time_point start) {
@@ -379,7 +366,7 @@ int main(int argc, char** argv) {
                   JsonEscape(query_path).c_str());
     }
     std::printf("  \"variant\": \"%s\",\n",
-                VariantName(chase_options.variant));
+                bddfc::ToString(chase_options.variant));
     std::printf("  \"strategy\": \"%s\",\n", bddfc::ToString(strategy));
     std::printf("  \"threads\": %zu,\n", reasoner.num_threads());
     std::printf("  \"max_steps\": %zu,\n", chase_options.exec.max_steps);
@@ -466,7 +453,7 @@ int main(int argc, char** argv) {
   std::printf("instance: %s (%zu atoms incl. the implicit top fact)\n",
               instance_path.c_str(), reasoner.database().size());
   std::printf("variant:  %s, threads: %zu, max steps: %zu, max atoms: %zu\n",
-              VariantName(chase_options.variant), reasoner.num_threads(),
+              bddfc::ToString(chase_options.variant), reasoner.num_threads(),
               resolved_exec.max_steps, resolved_exec.max_atoms);
 
   if (stats.materialized) {
